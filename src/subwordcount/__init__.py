@@ -1,11 +1,12 @@
 """Exact counting of fixed-length words by prescribed pattern occurrences.
 
-The closed-form counters (``count_single``, ``count_multi``) evaluate
-signed summations that are polynomial in the word length; the two oracles
-(``enumerate_count``, ``dp_count``) recompute the same numbers by
-exhaustive enumeration and by automaton-based mass propagation.  The
-closed form requires patterns with no self-intersection and no pairwise
-overlap; ``validate_instance`` checks that, and the oracles do not care.
+The closed-form counter ``count_multi`` evaluates a signed summation
+that is polynomial in the word length, and ``count_single`` is its
+one-pattern case; the two oracles (``enumerate_count``, ``dp_count``)
+recompute the same numbers by exhaustive enumeration and by
+automaton-based mass propagation.  The closed form requires patterns
+with no self-intersection and no pairwise overlap; ``validate_instance``
+checks that, and the oracles do not care.
 """
 
 from .automaton import (

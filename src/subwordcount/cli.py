@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import io
 import json
 import statistics
@@ -24,9 +25,11 @@ import time
 from typing import Callable, Sequence
 
 from .automaton import dp_count
-from .closed_form import count_multi, count_single
+# count_single is not called here; perfbench/tracing.py wraps cli.count_single
+from .closed_form import count_multi, count_single  # noqa: F401
 from .core import (
     BudgetExceededError,
+    NotApplicableError,
     ProblemInstance,
     ValidationReport,
     validate_instance,
@@ -63,7 +66,8 @@ def parse_document(document) -> ProblemInstance:
     [...]}), a word length, and a pattern list of {"pattern": ..,
     "count": ..} entries.  String patterns are tokenized one declared
     symbol per character; alphabets with multi-character symbol names
-    must give patterns as index lists.
+    must give patterns as index lists.  Only the document's shape is
+    checked here; ``ProblemInstance`` checks every value.
     """
     if not isinstance(document, dict):
         raise DocumentError("document must be a JSON object")
@@ -73,27 +77,19 @@ def parse_document(document) -> ProblemInstance:
 
     size, symbol_names = _parse_alphabet(document["alphabet"])
     lookup = _symbol_lookup(size, symbol_names)
-
-    length = document["length"]
-    if not isinstance(length, int) or isinstance(length, bool) or length < 0:
-        raise DocumentError("length must be a nonnegative integer")
-
     raw_patterns = document["patterns"]
-    if not isinstance(raw_patterns, list) or not raw_patterns:
-        raise DocumentError("patterns must be a nonempty list")
+    if not isinstance(raw_patterns, list):
+        raise DocumentError("patterns must be a list")
     pairs = []
     for entry in raw_patterns:
         if not isinstance(entry, dict) or "pattern" not in entry or "count" not in entry:
             raise DocumentError(
                 'each pattern entry must be {"pattern": string or index list, "count": n}'
             )
-        count = entry["count"]
-        if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-            raise DocumentError("pattern counts must be nonnegative integers")
-        pairs.append((_parse_pattern_body(entry["pattern"], size, lookup), count))
+        pairs.append((_parse_pattern_body(entry["pattern"], lookup), entry["count"]))
 
     try:
-        return ProblemInstance.from_pairs(size, length, pairs, symbol_names)
+        return ProblemInstance.from_pairs(size, document["length"], pairs, symbol_names)
     except (TypeError, ValueError) as exc:
         raise DocumentError(str(exc)) from exc
 
@@ -101,19 +97,13 @@ def parse_document(document) -> ProblemInstance:
 def _parse_alphabet(alphabet) -> tuple[int, tuple[str, ...] | None]:
     if isinstance(alphabet, dict) and "symbols" in alphabet:
         symbols = alphabet["symbols"]
-        if (
-            not isinstance(symbols, list)
-            or not symbols
-            or any(not isinstance(s, str) or not s for s in symbols)
-        ):
-            raise DocumentError("alphabet symbols must be a nonempty list of nonempty strings")
-        if len(set(symbols)) != len(symbols):
-            raise DocumentError("alphabet symbols must be distinct")
+        if not isinstance(symbols, list) or any(not isinstance(s, str) for s in symbols):
+            raise DocumentError("alphabet symbols must be a list of strings")
         return len(symbols), tuple(symbols)
     if isinstance(alphabet, dict) and "size" in alphabet:
         size = alphabet["size"]
-        if not isinstance(size, int) or isinstance(size, bool) or size < 2:
-            raise DocumentError("alphabet size must be an integer >= 2")
+        if not isinstance(size, int):
+            raise DocumentError("alphabet size must be an integer")
         return size, None
     raise DocumentError('alphabet must be {"size": q} or {"symbols": [...]}')
 
@@ -130,27 +120,20 @@ def _symbol_lookup(size: int, symbol_names: tuple[str, ...] | None) -> dict[str,
     return {name: i for i, name in enumerate(symbol_names)}
 
 
-def _parse_pattern_body(raw, size: int, lookup: dict[str, int] | None) -> tuple[int, ...]:
-    if isinstance(raw, str):
-        if lookup is None:
-            raise DocumentError(
-                "string patterns need single-character symbols; use index lists"
-            )
-        symbols = []
-        for ch in raw:
-            if ch not in lookup:
-                raise DocumentError(f"pattern character {ch!r} is not an alphabet symbol")
-            symbols.append(lookup[ch])
-        if not symbols:
-            raise DocumentError("patterns must be nonempty")
-        return tuple(symbols)
+def _parse_pattern_body(raw, lookup: dict[str, int] | None) -> tuple:
     if isinstance(raw, list):
-        if not raw or any(not isinstance(s, int) or isinstance(s, bool) for s in raw):
-            raise DocumentError("index-list patterns must be nonempty lists of integers")
-        if any(not 0 <= s < size for s in raw):
-            raise DocumentError("pattern indices must lie inside the alphabet")
         return tuple(raw)
-    raise DocumentError("a pattern must be a string or an index list")
+    if not isinstance(raw, str):
+        raise DocumentError("a pattern must be a string or an index list")
+    if lookup is None:
+        raise DocumentError(
+            "string patterns need single-character symbols, at most "
+            f"{len(DEFAULT_SYMBOLS)} of them when unnamed; use index lists"
+        )
+    for ch in raw:
+        if ch not in lookup:
+            raise DocumentError(f"pattern character {ch!r} is not an alphabet symbol")
+    return tuple(lookup[ch] for ch in raw)
 
 
 def instance_to_document(instance: ProblemInstance) -> dict:
@@ -204,35 +187,26 @@ def _instance_from_args(args) -> ProblemInstance:
         return parse_document(document)
     if not inline_used:
         raise DocumentError("give --input FILE or the inline flags --q/--t/--pattern")
-    return _instance_from_inline(args)
+    return parse_document(_document_from_flags(args))
 
 
-def _instance_from_inline(args) -> ProblemInstance:
+def _document_from_flags(args) -> dict:
+    """The instance document the inline flags describe."""
     if args.t is None:
         raise DocumentError("--t is required")
     if not args.pattern:
         raise DocumentError("at least one --pattern STR=COUNT is required")
-
-    symbol_names: tuple[str, ...] | None
     if args.alphabet is not None:
-        symbol_names = tuple(args.alphabet)
-        if not symbol_names:
-            raise DocumentError("--alphabet must list at least one symbol character")
-        if len(set(symbol_names)) != len(symbol_names):
-            raise DocumentError("--alphabet characters must be distinct")
-        size = len(symbol_names)
-        if args.q is not None and args.q != size:
-            raise DocumentError(f"--q {args.q} contradicts the {size}-symbol --alphabet")
+        if args.q is not None and args.q != len(args.alphabet):
+            raise DocumentError(
+                f"--q {args.q} contradicts the {len(args.alphabet)}-symbol --alphabet"
+            )
+        alphabet: dict = {"symbols": list(args.alphabet)}
+    elif args.q is None:
+        raise DocumentError("give --q N or --alphabet SYMBOLS")
     else:
-        if args.q is None:
-            raise DocumentError("give --q N or --alphabet SYMBOLS")
-        size = args.q
-        symbol_names = None
-
-    lookup = _symbol_lookup(size, symbol_names)
-    if lookup is None:
-        raise DocumentError("alphabet too large for string patterns; use --input")
-    pairs = []
+        alphabet = {"size": args.q}
+    patterns = []
     for item in args.pattern:
         text, sep, count_text = item.rpartition("=")
         if not sep or not text:
@@ -241,19 +215,8 @@ def _instance_from_inline(args) -> ProblemInstance:
             count = int(count_text)
         except ValueError:
             raise DocumentError(f"required count {count_text!r} is not an integer") from None
-        if count < 0:
-            raise DocumentError("required counts must be >= 0")
-        symbols = []
-        for ch in text:
-            if ch not in lookup:
-                raise DocumentError(f"pattern character {ch!r} is not an alphabet symbol")
-            symbols.append(lookup[ch])
-        pairs.append((tuple(symbols), count))
-
-    try:
-        return ProblemInstance.from_pairs(size, args.t, pairs, symbol_names)
-    except (TypeError, ValueError) as exc:
-        raise DocumentError(str(exc)) from exc
+        patterns.append({"pattern": text, "count": count})
+    return {"alphabet": alphabet, "length": args.t, "patterns": patterns}
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -266,31 +229,27 @@ def _emit(text: str, path: str | None) -> None:
             handle.write(text)
 
 
-def _reject_csv(args) -> None:
-    if args.csv:
-        raise DocumentError("--csv applies to bench only; this command emits JSON")
+def _decimal(n: int) -> str:
+    """Decimal digits of ``n`` at any size: ``str(int)`` refuses past the
+    interpreter's digit limit, ``Decimal`` converts exactly without it."""
+    return str(decimal.Decimal(n))
+
+
+def _not_applicable(report: ValidationReport) -> int:
+    print(json.dumps(report_to_document(report), indent=2), file=sys.stderr)
+    return EXIT_NOT_APPLICABLE
 
 
 def _cmd_count(args) -> int:
-    _reject_csv(args)
     instance = _instance_from_args(args)
-    report = validate_instance(instance)
-    if not report.is_formula_applicable:
-        print(json.dumps(report_to_document(report), indent=2), file=sys.stderr)
-        return EXIT_NOT_APPLICABLE
-    breakdown = count_multi(instance)
-    if __debug__ and instance.pattern_count == 1:
-        solo = count_single(
-            instance.alphabet_size,
-            instance.word_length,
-            instance.pattern_lengths[0],
-            instance.required_counts[0],
-        )
-        assert solo.total == breakdown.total, "single-pattern reduction mismatch"
-    payload: dict = {"count": str(breakdown.total), "method": "closed_form"}
+    try:
+        breakdown = count_multi(instance)
+    except NotApplicableError as exc:
+        return _not_applicable(exc.report)
+    payload: dict = {"count": _decimal(breakdown.total), "method": "closed_form"}
     if args.breakdown:
         payload["terms"] = [
-            {"indices": list(indices), "value": str(value)}
+            {"indices": list(indices), "value": _decimal(value)}
             for indices, value in breakdown.terms
         ]
     _emit(json.dumps(payload, indent=2), args.output)
@@ -298,13 +257,11 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _reject_csv(args)
     instance = _instance_from_args(args)
-    report = validate_instance(instance)
-    if not report.is_formula_applicable:
-        print(json.dumps(report_to_document(report), indent=2), file=sys.stderr)
-        return EXIT_NOT_APPLICABLE
-    values = {"closed_form": count_multi(instance).total}
+    try:
+        values = {"closed_form": count_multi(instance).total}
+    except NotApplicableError as exc:
+        return _not_applicable(exc.report)
     oracles: list[tuple[str, Callable[[], int]]] = []
     if args.oracle in ("enum", "both"):
         oracles.append(("enumeration", lambda: enumerate_count(instance, args.guard)))
@@ -318,7 +275,7 @@ def _cmd_verify(args) -> int:
             return EXIT_REFUSED
     agree = len(set(values.values())) == 1
     payload = {
-        "values": {name: str(value) for name, value in values.items()},
+        "values": {name: _decimal(value) for name, value in values.items()},
         "agree": agree,
     }
     _emit(json.dumps(payload, indent=2), args.output)
@@ -326,7 +283,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    _reject_csv(args)
     instance = _instance_from_args(args)
     report = validate_instance(instance)
     _emit(json.dumps(report_to_document(report), indent=2), args.output)
@@ -353,8 +309,6 @@ def synthesized_instance(
     for j, (length, want) in enumerate(zip(lengths, required)):
         if length < 1:
             raise DocumentError("pattern lengths must be >= 1")
-        if want < 0:
-            raise DocumentError("required counts must be >= 0")
         pairs.append(((2 * j,) + (2 * j + 1,) * (length - 1), want))
     try:
         return ProblemInstance.from_pairs(alphabet_size, word_length, pairs)
@@ -381,13 +335,10 @@ def _cmd_bench(args) -> int:
             methods.append(method)
     if args.reps < 1:
         raise DocumentError("--reps must be >= 1")
-    t_values = args.t
-    if any(t < 0 for t in t_values):
-        raise DocumentError("--t values must be >= 0")
 
     rows = []
     ran = {method: 0 for method in methods}
-    for t in t_values:
+    for t in args.t:
         instance = synthesized_instance(args.q, t, lengths, required)
         seen: dict[str, int] = {}
         for method in methods:
@@ -412,11 +363,11 @@ def _cmd_bench(args) -> int:
                     "pattern_lengths": list(lengths),
                     "required_counts": list(required),
                     "wall_seconds": statistics.median(durations),
-                    "count_digits": len(str(value)),
+                    "count_digits": len(_decimal(value)),
                 }
             )
         if len(set(seen.values())) > 1:
-            detail = ", ".join(f"{m}={v}" for m, v in sorted(seen.items()))
+            detail = ", ".join(f"{m}={_decimal(v)}" for m, v in sorted(seen.items()))
             print(f"methods disagree at t={t}: {detail}", file=sys.stderr)
             return EXIT_DISAGREE
 
@@ -478,9 +429,7 @@ def _build_parser() -> _Parser:
     )
 
     output_flags = _Parser(add_help=False)
-    fmt = output_flags.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="JSON output (the default)")
-    fmt.add_argument("--csv", action="store_true", help="CSV output (bench only)")
+    output_flags.add_argument("--json", action="store_true", help="JSON output (the default)")
     output_flags.add_argument("--output", metavar="FILE", help="write output here, not stdout")
 
     count_p = sub.add_parser(
@@ -517,11 +466,11 @@ def _build_parser() -> _Parser:
         help="report whether the closed form applies to the instance",
     )
 
-    bench_p = sub.add_parser(
-        "bench",
-        parents=[output_flags],
-        help="time counting methods on synthesized instances",
-    )
+    bench_p = sub.add_parser("bench", help="time counting methods on synthesized instances")
+    fmt = bench_p.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true", help="JSON output")
+    fmt.add_argument("--csv", action="store_true", help="CSV output (the default)")
+    bench_p.add_argument("--output", metavar="FILE", help="write output here, not stdout")
     bench_p.add_argument("--q", type=int, default=4, metavar="N", help="alphabet size")
     bench_p.add_argument(
         "--t",

@@ -1,8 +1,8 @@
 """Closed-form counts of words containing patterns exact numbers of times.
 
-Both counters evaluate a finite signed summation over feasible copy-count
-tuples.  The term for copy counts (i_1 .. i_d) places that many copies of
-each pattern and multiplies
+One engine, ``count_multi``, evaluates a finite signed summation over
+feasible copy-count tuples.  The term for copy counts (i_1 .. i_d) places
+that many copies of each pattern and multiplies
 
   * q ** g ways to fill the g unoccupied positions, where g is the word
     length minus the positions the copies occupy,
@@ -18,8 +18,8 @@ leading term positive and the signed sum collapse to the exact count.
 The arithmetic sees pattern lengths only.  Whether it is the *right*
 arithmetic for an instance depends on the patterns having no borders and
 no cross overlaps; ``count_multi`` checks that through
-``validate_instance``, while ``count_single`` trusts its caller because it
-never sees the pattern content at all.
+``validate_instance``.  ``count_single`` is its one-pattern case, run on
+a borderless stand-in pattern of the requested length.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .core import (
     NotApplicableError,
     PatternSpec,
     ProblemInstance,
+    require_int,
     validate_instance,
 )
 
@@ -45,31 +46,17 @@ def count_single(
     """Count words containing one borderless pattern exactly
     ``required_count`` times.
 
-    The breakdown carries one signed term per copy count from
+    The one-pattern case of ``count_multi``: the sum sees pattern lengths
+    only, so any borderless pattern of the given length stands in.  The
+    breakdown carries one signed term per copy count from
     ``required_count`` up to ``word_length // pattern_length``; an empty
     range yields total 0.
     """
-    if alphabet_size < 2:
-        raise ValueError("alphabet_size must be >= 2")
-    if word_length < 0:
-        raise ValueError("word_length must be >= 0")
-    if pattern_length < 1:
-        raise ValueError("pattern_length must be >= 1")
-    if required_count < 0:
-        raise ValueError("required_count must be >= 0")
-
-    terms = []
-    for copies in range(required_count, word_length // pattern_length + 1):
-        unoccupied = word_length - pattern_length * copies
-        value = (
-            alphabet_size**unoccupied
-            * multichoose(copies + 1, unoccupied)
-            * binomial(copies, copies - required_count)
-        )
-        if (copies - required_count) % 2:
-            value = -value
-        terms.append(((copies,), value))
-    return CountBreakdown.from_terms(terms)
+    require_int("pattern_length", pattern_length, 1)
+    pattern = (0,) + (1,) * (pattern_length - 1)
+    return count_multi(
+        ProblemInstance.from_pairs(alphabet_size, word_length, [(pattern, required_count)])
+    )
 
 
 def count_multi(instance: ProblemInstance) -> CountBreakdown:

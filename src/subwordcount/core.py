@@ -39,6 +39,15 @@ class NotApplicableError(ValueError):
         self.report = report
 
 
+def require_int(name: str, value, minimum: int) -> None:
+    """Raise TypeError unless ``value`` is an int (bool excluded), and
+    ValueError when it is below ``minimum``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
+
+
 @dataclass(frozen=True)
 class Pattern:
     """A nonempty sequence of symbol indices."""
@@ -71,8 +80,7 @@ class PatternSpec:
     def __post_init__(self):
         if not isinstance(self.pattern, Pattern):
             object.__setattr__(self, "pattern", Pattern(tuple(self.pattern)))
-        if self.required_count < 0:
-            raise ValueError("required_count must be >= 0")
+        require_int("required_count", self.required_count, 0)
 
 
 @dataclass(frozen=True)
@@ -86,10 +94,8 @@ class ProblemInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "specs", tuple(self.specs))
-        if self.alphabet_size < 2:
-            raise ValueError("alphabet_size must be >= 2")
-        if self.word_length < 0:
-            raise ValueError("word_length must be >= 0")
+        require_int("alphabet_size", self.alphabet_size, 2)
+        require_int("word_length", self.word_length, 0)
         if not self.specs:
             raise ValueError("at least one pattern spec is required")
         seen: set[tuple[int, ...]] = set()

@@ -1,10 +1,18 @@
+import contextlib
 import csv
+import decimal
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from subwordcount import ProblemInstance, cli
+from subwordcount import ProblemInstance, cli, closed_form, count_multi
 from subwordcount.cli import (
     EXIT_DISAGREE,
     EXIT_INPUT,
@@ -187,10 +195,31 @@ class TestCount:
         assert code == EXIT_INPUT
         assert "error:" in err
 
-    def test_debug_reduction_check_runs(self, capsys):
-        # single-pattern requests cross-check the two closed forms
+    def test_single_pattern_count_runs_engine_and_validation_once(self, capsys, monkeypatch):
+        calls = {"count_multi": 0, "validate_instance": 0}
+
+        def counting(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        for module in (cli, closed_form):
+            for name in calls:
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         code, out, _ = run(capsys, "count", "--q", "4", "--t", "30", "--pattern", "abc=2")
         assert code == EXIT_OK
+        assert calls == {"count_multi": 1, "validate_instance": 1}
+
+    def test_count_past_the_int_str_digit_limit(self, capsys):
+        # 4,668 digits: str(int) refuses past 4,300, the output must not
+        code, out, _ = run(capsys, "count", "--q", "36", "--t", "3000", "--pattern", "abc=1")
+        assert code == EXIT_OK
+        text = json.loads(out)["count"]
+        assert len(text) == 4668
+        expected = count_multi(ProblemInstance.from_pairs(36, 3000, [((0, 1, 2), 1)])).total
+        assert decimal.Decimal(text) == decimal.Decimal(expected)
 
 
 class TestVerify:
@@ -353,3 +382,125 @@ class TestBench:
         rows = list(csv.reader(io.StringIO(out)))[1:]
         assert rows[0][3] == "2+3"
         assert rows[0][4] == "1+1"
+
+    def test_count_digits_past_the_int_str_digit_limit(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "bench", "--q", "36", "--t", "3000", "--pattern-length", "3", "--required", "1",
+            "--reps", "1", "--json",
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["rows"][0]["count_digits"] == 4668
+
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 40)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+valid_documents = st.fixed_dictionaries(
+    {
+        "alphabet": st.fixed_dictionaries({"size": st.integers(2, 5)})
+        | st.fixed_dictionaries(
+            {"symbols": st.lists(st.sampled_from("abcdA"), min_size=2, max_size=5, unique=True)}
+        ),
+        "length": st.integers(0, 12),
+        "patterns": st.lists(
+            st.fixed_dictionaries(
+                {
+                    "pattern": st.text("abc", min_size=1, max_size=3)
+                    | st.lists(st.integers(0, 2), min_size=1, max_size=3),
+                    "count": st.integers(0, 3),
+                }
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    }
+)
+# every field valid, out of range, or of any JSON type
+noisy_documents = st.fixed_dictionaries(
+    {
+        "alphabet": st.fixed_dictionaries({"size": st.integers(-1, 40) | json_values})
+        | st.fixed_dictionaries({"symbols": st.lists(st.text("abA", max_size=2), max_size=5)})
+        | json_values,
+        "length": st.integers(-1, 12) | json_values,
+        "patterns": st.lists(
+            st.fixed_dictionaries(
+                {
+                    "pattern": st.text("abcAz", max_size=4)
+                    | st.lists(st.integers(-1, 5) | json_values, max_size=4)
+                    | json_values,
+                    "count": st.integers(-1, 3) | json_values,
+                }
+            )
+            | json_values,
+            max_size=3,
+        )
+        | json_values,
+    }
+)
+# mostly well-formed flags, so that every exit code gets reached
+alphabet_flags = st.one_of(
+    st.integers(2, 5).map(lambda q: ["--q", str(q)]),
+    st.lists(st.sampled_from("abcdA"), min_size=2, max_size=5, unique=True).map(
+        lambda symbols: ["--alphabet", "".join(symbols)]
+    ),
+    st.tuples(st.integers(0, 5), st.text("abcdA", max_size=5)).map(
+        lambda flags: ["--q", str(flags[0]), "--alphabet", flags[1]]
+    ),
+    st.just([]),
+)
+well_formed_patterns = st.tuples(st.text("abc", min_size=1, max_size=3), st.integers(-1, 3)).map(
+    "{0[0]}={0[1]}".format
+)
+pattern_flags = st.lists(well_formed_patterns, min_size=1, max_size=3) | st.lists(
+    well_formed_patterns | st.text("abcA=", max_size=4), min_size=1, max_size=3
+)
+
+
+class TestExitContract:
+    @given(valid_documents | noisy_documents | json_values)
+    @settings(max_examples=400, deadline=None)
+    def test_documents_build_an_instance_or_raise_document_error(self, document):
+        try:
+            instance = parse_document(document)
+        except DocumentError:
+            return
+        assert isinstance(instance, ProblemInstance)
+
+    @given(
+        command=st.sampled_from(["count", "validate", "verify"]),
+        t=st.integers(-1, 12),
+        alphabet=alphabet_flags,
+        patterns=pattern_flags,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_inline_flags_exit_within_the_contract(self, command, t, alphabet, patterns):
+        argv = [command, "--t", str(t), *alphabet]
+        for pattern in patterns:
+            argv += ["--pattern", pattern]
+        if command == "verify":
+            argv += ["--guard", "20000"]  # keep enumeration small; refusal is exit 4
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in {EXIT_OK, EXIT_INPUT, EXIT_NOT_APPLICABLE, EXIT_DISAGREE, EXIT_REFUSED}
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(cli.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-m", "subwordcount", "validate", "--q", "2", "--t", "4",
+         "--pattern", "aba=1"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert result.returncode == EXIT_NOT_APPLICABLE
+    assert json.loads(result.stdout)["self_intersecting"] == [True]

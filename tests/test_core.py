@@ -6,8 +6,41 @@ from subwordcount import (
     Pattern,
     PatternSpec,
     ProblemInstance,
+    count_single,
     validate_instance,
 )
+
+# each validated entry point, built from valid defaults, with its integer fields
+SINGLE_ARGS = {"alphabet_size": 2, "word_length": 4, "pattern_length": 2, "required_count": 1}
+INTEGER_FIELDS = {
+    "ProblemInstance": (
+        lambda alphabet_size=2, word_length=4: ProblemInstance(
+            alphabet_size, word_length, (PatternSpec((0, 1), 1),)
+        ),
+        ("alphabet_size", "word_length"),
+    ),
+    "PatternSpec": (
+        lambda required_count=1: PatternSpec((0, 1), required_count),
+        ("required_count",),
+    ),
+    "count_single": (lambda **kw: count_single(**{**SINGLE_ARGS, **kw}), tuple(SINGLE_ARGS)),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, field, value",
+    [
+        (entry, field, value)
+        for entry, (_, fields) in INTEGER_FIELDS.items()
+        for field in fields
+        for value in (10.5, True, "3")
+    ],
+)
+def test_non_int_values_rejected_with_type_error(entry, field, value):
+    build, _ = INTEGER_FIELDS[entry]
+    build()  # the defaults are valid
+    with pytest.raises(TypeError):
+        build(**{field: value})
 
 
 class TestPattern:
