@@ -155,16 +155,15 @@ def dp_count(instance: ProblemInstance, step_budget: int = DEFAULT_STEP_BUDGET) 
     Tallies are capped one above each requirement: a word that overshoots
     can never recover, so everything past the requirement is pooled.
 
-    Raises BudgetExceededError when word_length * state_count * product
-    of tally-domain sizes exceeds ``step_budget``.
+    Raises BudgetExceededError when the sweep's move count, word_length *
+    state_count * alphabet_size * tally-domain size, exceeds ``step_budget``.
     """
     automaton = build_automaton(instance.alphabet_size, instance.patterns)
     required = list(instance.required_counts)
     caps = [x + 1 for x in required]
-    domain = 1
+    predicted_steps = instance.word_length * automaton.state_count * instance.alphabet_size
     for cap in caps:
-        domain *= cap + 1
-    predicted_steps = instance.word_length * automaton.state_count * domain
+        predicted_steps *= cap + 1  # the tally domain
     if predicted_steps > step_budget:
         raise BudgetExceededError(
             f"distribution sweep needs about {predicted_steps} steps, "

@@ -3,7 +3,7 @@
 Exit codes are a contract shared by every subcommand:
 
   0  success, and all computed values agree
-  1  malformed input (bad flags, unreadable file, bad document)
+  1  malformed input (bad flags, unreadable or unwritable file, bad document)
   2  the closed form does not apply to the instance
   3  two counting methods disagreed (the headline failure mode)
   4  an oracle refused the instance because a work guard was exceeded
@@ -45,7 +45,19 @@ EXIT_REFUSED = 4
 # symbol universe for string patterns when no alphabet is declared
 DEFAULT_SYMBOLS = "abcdefghijklmnopqrstuvwxyz0123456789"
 
-BENCH_METHODS = ("closed_form", "enumeration", "automaton")
+# Every counting method as (instance, guard) -> count.  The lambdas look the
+# functions up when called, so rebinding a name in this module reaches them.
+METHODS: dict[str, Callable[[ProblemInstance, int], int]] = {
+    "closed_form": lambda instance, guard: count_multi(instance).total,
+    "enumeration": lambda instance, guard: enumerate_count(instance, guard),
+    "automaton": lambda instance, guard: dp_count(instance),
+}
+# the METHODS entries each verify --oracle choice runs after the closed form
+_ORACLES = {
+    "enum": ("enumeration",),
+    "automaton": ("automaton",),
+    "both": ("enumeration", "automaton"),
+}
 
 
 class DocumentError(ValueError):
@@ -180,7 +192,7 @@ def _instance_from_args(args) -> ProblemInstance:
         try:
             with open(args.input, "r", encoding="utf-8") as handle:
                 document = json.load(handle)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise DocumentError(f"cannot read {args.input}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise DocumentError(f"{args.input} is not valid JSON: {exc}") from exc
@@ -224,9 +236,12 @@ def _emit(text: str, path: str | None) -> None:
         text += "\n"
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise DocumentError(f"cannot write {path}: {exc}") from exc
 
 
 def _decimal(n: int) -> str:
@@ -235,17 +250,8 @@ def _decimal(n: int) -> str:
     return str(decimal.Decimal(n))
 
 
-def _not_applicable(report: ValidationReport) -> int:
-    print(json.dumps(report_to_document(report), indent=2), file=sys.stderr)
-    return EXIT_NOT_APPLICABLE
-
-
 def _cmd_count(args) -> int:
-    instance = _instance_from_args(args)
-    try:
-        breakdown = count_multi(instance)
-    except NotApplicableError as exc:
-        return _not_applicable(exc.report)
+    breakdown = count_multi(_instance_from_args(args))
     payload: dict = {"count": _decimal(breakdown.total), "method": "closed_form"}
     if args.breakdown:
         payload["terms"] = [
@@ -258,18 +264,10 @@ def _cmd_count(args) -> int:
 
 def _cmd_verify(args) -> int:
     instance = _instance_from_args(args)
-    try:
-        values = {"closed_form": count_multi(instance).total}
-    except NotApplicableError as exc:
-        return _not_applicable(exc.report)
-    oracles: list[tuple[str, Callable[[], int]]] = []
-    if args.oracle in ("enum", "both"):
-        oracles.append(("enumeration", lambda: enumerate_count(instance, args.guard)))
-    if args.oracle in ("automaton", "both"):
-        oracles.append(("automaton", lambda: dp_count(instance)))
-    for name, run in oracles:
+    values = {}
+    for name in ("closed_form", *_ORACLES[args.oracle]):
         try:
-            values[name] = run()
+            values[name] = METHODS[name](instance, args.guard)
         except BudgetExceededError as exc:
             print(f"{name} refused: {exc}", file=sys.stderr)
             return EXIT_REFUSED
@@ -316,44 +314,27 @@ def synthesized_instance(
         raise DocumentError(str(exc)) from exc
 
 
-def _bench_runner(method: str, instance: ProblemInstance, guard: int) -> Callable[[], int]:
-    if method == "closed_form":
-        return lambda: count_multi(instance).total
-    if method == "enumeration":
-        return lambda: enumerate_count(instance, guard)
-    return lambda: dp_count(instance)
-
-
 def _cmd_bench(args) -> int:
     lengths = args.pattern_length or [3]
     required = args.required or [2]
     if len(required) == 1 and len(lengths) > 1:
         required = required * len(lengths)
-    methods = []
-    for method in args.method or ["closed_form"]:
-        if method not in methods:
-            methods.append(method)
-    if args.reps < 1:
-        raise DocumentError("--reps must be >= 1")
+    methods = list(dict.fromkeys(args.method or ["closed_form"]))
 
     rows = []
-    ran = {method: 0 for method in methods}
     for t in args.t:
         instance = synthesized_instance(args.q, t, lengths, required)
         seen: dict[str, int] = {}
         for method in methods:
-            run = _bench_runner(method, instance, args.guard)
             durations = []
-            value = None
             try:
                 for _ in range(args.reps):
                     start = time.perf_counter()
-                    value = run()
+                    value = METHODS[method](instance, args.guard)
                     durations.append(time.perf_counter() - start)
             except BudgetExceededError as exc:
                 print(f"{method} skipped t={t}: {exc}", file=sys.stderr)
                 continue
-            ran[method] += 1
             seen[method] = value
             rows.append(
                 {
@@ -373,7 +354,7 @@ def _cmd_bench(args) -> int:
 
     _emit(_render_bench(rows, as_json=args.json), args.output)
     for method in methods:
-        if ran[method] == 0:
+        if all(row["method"] != method for row in rows):
             print(f"{method} refused every instance", file=sys.stderr)
             return EXIT_REFUSED
     return EXIT_OK
@@ -402,6 +383,19 @@ def _render_bench(rows: list[dict], as_json: bool) -> str:
     return buffer.getvalue()
 
 
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """argparse type for an integer flag that must be >= ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports bad text as "invalid int value"
+    return parse
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="subwordcount",
@@ -428,13 +422,21 @@ def _build_parser() -> _Parser:
         help="alphabet as a string of distinct symbol characters",
     )
 
-    output_flags = _Parser(add_help=False)
-    output_flags.add_argument("--json", action="store_true", help="JSON output (the default)")
-    output_flags.add_argument("--output", metavar="FILE", help="write output here, not stdout")
+    output_flag = _Parser(add_help=False)
+    output_flag.add_argument("--output", metavar="FILE", help="write output here, not stdout")
+
+    guard_flag = _Parser(add_help=False)
+    guard_flag.add_argument(
+        "--guard",
+        type=_int_at_least(0),
+        default=DEFAULT_GUARD,
+        metavar="N",
+        help="enumeration refuses instances with more than N words",
+    )
 
     count_p = sub.add_parser(
         "count",
-        parents=[instance_flags, output_flags],
+        parents=[instance_flags, output_flag],
         help="evaluate the closed-form count",
     )
     count_p.add_argument(
@@ -443,34 +445,30 @@ def _build_parser() -> _Parser:
 
     verify_p = sub.add_parser(
         "verify",
-        parents=[instance_flags, output_flags],
+        parents=[instance_flags, output_flag, guard_flag],
         help="check the closed form against independent oracles",
     )
     verify_p.add_argument(
         "--oracle",
-        choices=["enum", "automaton", "both"],
+        choices=list(_ORACLES),
         default="both",
         help="which oracle(s) to run (default: both)",
-    )
-    verify_p.add_argument(
-        "--guard",
-        type=int,
-        default=DEFAULT_GUARD,
-        metavar="N",
-        help="enumeration refuses instances with more than N words",
     )
 
     sub.add_parser(
         "validate",
-        parents=[instance_flags, output_flags],
+        parents=[instance_flags, output_flag],
         help="report whether the closed form applies to the instance",
     )
 
-    bench_p = sub.add_parser("bench", help="time counting methods on synthesized instances")
+    bench_p = sub.add_parser(
+        "bench",
+        parents=[output_flag, guard_flag],
+        help="time counting methods on synthesized instances",
+    )
     fmt = bench_p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="JSON output")
     fmt.add_argument("--csv", action="store_true", help="CSV output (the default)")
-    bench_p.add_argument("--output", metavar="FILE", help="write output here, not stdout")
     bench_p.add_argument("--q", type=int, default=4, metavar="N", help="alphabet size")
     bench_p.add_argument(
         "--t",
@@ -497,18 +495,15 @@ def _build_parser() -> _Parser:
     bench_p.add_argument(
         "--method",
         action="append",
-        choices=list(BENCH_METHODS),
+        choices=list(METHODS),
         help="counting method to time; repeatable (default: closed_form)",
     )
     bench_p.add_argument(
-        "--reps", type=int, default=3, metavar="N", help="repetitions per timing (median wins)"
-    )
-    bench_p.add_argument(
-        "--guard",
-        type=int,
-        default=DEFAULT_GUARD,
+        "--reps",
+        type=_int_at_least(1),
+        default=3,
         metavar="N",
-        help="enumeration refuses instances with more than N words",
+        help="repetitions per timing (median wins)",
     )
     return parser
 
@@ -529,7 +524,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except NotApplicableError as exc:
+        print(json.dumps(report_to_document(exc.report), indent=2), file=sys.stderr)
+        return EXIT_NOT_APPLICABLE
 
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

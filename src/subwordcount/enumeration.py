@@ -32,6 +32,13 @@ def count_occurrences(word: Sequence, pattern: Sequence) -> int:
     )
 
 
+def _check_guard(alphabet_size: int, word_length: int, guard: int) -> None:
+    if alphabet_size**word_length > guard:
+        raise BudgetExceededError(
+            f"enumerating {alphabet_size}**{word_length} words exceeds the guard of {guard}"
+        )
+
+
 def enumerate_count(instance: ProblemInstance, guard: int = DEFAULT_GUARD) -> int:
     """Exact number of words whose occurrence counts all match, found by
     checking every word of the instance's length.
@@ -41,12 +48,7 @@ def enumerate_count(instance: ProblemInstance, guard: int = DEFAULT_GUARD) -> in
     than ``guard`` words, which signals the caller to use the automaton
     oracle instead.
     """
-    total_words = instance.alphabet_size**instance.word_length
-    if total_words > guard:
-        raise BudgetExceededError(
-            f"enumerating {instance.alphabet_size}**{instance.word_length} words "
-            f"exceeds the guard of {guard}"
-        )
+    _check_guard(instance.alphabet_size, instance.word_length, guard)
     patterns = [spec.pattern.symbols for spec in instance.specs]
     required = [spec.required_count for spec in instance.specs]
     matched = 0
@@ -77,11 +79,7 @@ def occurrence_profile_counts(
         raise ValueError("alphabet_size must be >= 2")
     if word_length < 0:
         raise ValueError("word_length must be >= 0")
-    total_words = alphabet_size**word_length
-    if total_words > guard:
-        raise BudgetExceededError(
-            f"enumerating {alphabet_size}**{word_length} words exceeds the guard of {guard}"
-        )
+    _check_guard(alphabet_size, word_length, guard)
     targets = [tuple(getattr(p, "symbols", p)) for p in patterns]
     histogram: dict[tuple[int, ...], int] = {}
     for word in itertools.product(range(alphabet_size), repeat=word_length):

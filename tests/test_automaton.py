@@ -142,6 +142,14 @@ class TestDpCount:
         with pytest.raises(BudgetExceededError):
             dp_count(inst, step_budget=100)
 
+    def test_budget_counts_every_symbol_the_sweep_tries(self):
+        # t * states * domain = 10 * 4 * 3 = 120; the sweep tries q = 4
+        # symbols from each, 480 moves in all
+        inst = ProblemInstance.from_pairs(4, 10, [((0, 1, 2), 1)])
+        with pytest.raises(BudgetExceededError):
+            dp_count(inst, step_budget=200)
+        assert dp_count(inst, step_budget=480) == enumerate_count(inst)
+
     @given(
         st.integers(2, 3),
         st.integers(0, 7),

@@ -188,12 +188,39 @@ class TestCount:
             ("count", "--q", "2", "--t", "4", "--pattern", "ab=1", "--csv"),
             ("count", "--q", "2", "--t", "4", "--pattern", "ab=1", "--input", "x.json"),
             ("nonsense",),
+            ("verify", "--q", "2", "--t", "4", "--pattern", "ab=1", "--guard", "-1"),
+            ("bench", "--t", "4", "--guard", "-1"),
+            ("bench", "--t", "4", "--reps", "0"),
+            ("count", "--q", "2", "--t", "4", "--pattern", "ab=1", "--json"),
         ],
     )
     def test_malformed_input_exits_1(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_INPUT
         assert "error:" in err
+
+    def test_input_that_is_not_utf8_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "instance.json"
+        path.write_bytes(b'\xff\xfe{"alphabet": {"size": 2}}')
+        code, out, err = run(capsys, "count", "--input", str(path))
+        assert code == EXIT_INPUT
+        assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "--q", "2", "--t", "4", "--pattern", "ab=1"),
+            ("verify", "--q", "2", "--t", "4", "--pattern", "ab=1"),
+            ("validate", "--q", "2", "--t", "4", "--pattern", "ab=1"),
+            ("bench", "--t", "4", "--reps", "1"),
+        ],
+    )
+    def test_output_in_a_missing_directory_exits_1(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "result"
+        code, out, err = run(capsys, *argv, "--output", str(target))
+        assert code == EXIT_INPUT
+        assert "error:" in err
+        assert not target.parent.exists()
 
     def test_single_pattern_count_runs_engine_and_validation_once(self, capsys, monkeypatch):
         calls = {"count_multi": 0, "validate_instance": 0}
@@ -491,11 +518,35 @@ class TestExitContract:
             code = main(argv)
         assert code in {EXIT_OK, EXIT_INPUT, EXIT_NOT_APPLICABLE, EXIT_DISAGREE, EXIT_REFUSED}
 
+    @given(
+        q=st.integers(2, 6),
+        ts=st.lists(st.integers(-1, 8), min_size=1, max_size=2),
+        lengths=st.lists(st.integers(0, 4), max_size=2),
+        required=st.lists(st.integers(-1, 3), max_size=2),
+        methods=st.lists(
+            st.sampled_from(["closed_form", "enumeration", "automaton"]), max_size=3
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bench_argv_exits_within_the_contract(self, q, ts, lengths, required, methods):
+        # keep enumeration small; refusing every instance is exit 4
+        argv = ["bench", "--q", str(q), "--reps", "1", "--guard", "20000"]
+        for flag, values in (
+            ("--t", ts), ("--pattern-length", lengths), ("--required", required),
+            ("--method", methods),
+        ):
+            for value in values:
+                argv += [flag, str(value)]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in {EXIT_OK, EXIT_INPUT, EXIT_NOT_APPLICABLE, EXIT_DISAGREE, EXIT_REFUSED}
 
-def test_python_dash_m_runs_the_cli():
+
+@pytest.mark.parametrize("module", ["subwordcount", "subwordcount.cli"])
+def test_python_dash_m_runs_the_cli(module):
     src = Path(cli.__file__).resolve().parent.parent
     result = subprocess.run(
-        [sys.executable, "-m", "subwordcount", "validate", "--q", "2", "--t", "4",
+        [sys.executable, "-m", module, "validate", "--q", "2", "--t", "4",
          "--pattern", "aba=1"],
         capture_output=True,
         text=True,
