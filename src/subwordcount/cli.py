@@ -254,9 +254,13 @@ def _cmd_count(args) -> int:
     breakdown = count_multi(_instance_from_args(args))
     payload: dict = {"count": _decimal(breakdown.total), "method": "closed_form"}
     if args.breakdown:
+        try:
+            terms = breakdown.terms  # the per-tuple reference, checked against the total
+        except ValueError as exc:
+            print(f"closed-form engines disagree: {exc}", file=sys.stderr)
+            return EXIT_DISAGREE
         payload["terms"] = [
-            {"indices": list(indices), "value": _decimal(value)}
-            for indices, value in breakdown.terms
+            {"indices": list(indices), "value": _decimal(value)} for indices, value in terms
         ]
     _emit(json.dumps(payload, indent=2), args.output)
     return EXIT_OK

@@ -1,8 +1,8 @@
 """Closed-form counts of words containing patterns exact numbers of times.
 
-One engine, ``count_multi``, evaluates a finite signed summation over
-feasible copy-count tuples.  The term for copy counts (i_1 .. i_d) places
-that many copies of each pattern and multiplies
+The count is a finite signed summation over feasible copy-count tuples.
+The term for copy counts (i_1 .. i_d) places that many copies of each
+pattern and multiplies
 
   * q ** g ways to fill the g unoccupied positions, where g is the word
     length minus the positions the copies occupy,
@@ -15,6 +15,23 @@ that many copies of each pattern and multiplies
 with sign (-1) ** (total copies - total required copies), which makes the
 leading term positive and the signed sum collapse to the exact count.
 
+There are about t ** d tuples for d patterns, so the one engine,
+``count_multi``, sums them grouped instead.  Writing i_p = x_p + j_p for
+required counts x_p, every tuple with the same J = sum j_p and
+L = sum a_p j_p (a_p the pattern lengths) has the same g and gap factor,
+and the multinomial times the binomials is
+C(X + J, X) * multinomial(x) * multinomial(j), X = sum x_p.  Summed over
+the tuples of one (J, L), multinomial(j) is the coefficient of y ** L in
+P(y) ** J, P(y) = sum_p y ** a_p.  So the total is
+
+  multinomial(x) * sum over (J, L) of
+      (-1) ** J * q ** g * C(X + J + g, g) * C(X + J, X) * [y ** L] P ** J
+
+with g = t - sum a_p x_p - L, which has O(t ** 2 / a_min) terms whatever
+d is.  ``per_tuple_terms`` evaluates the summation tuple by tuple; it is
+the reference, run only when a breakdown's ``terms`` are read, and that
+read checks its sum against the total.
+
 The arithmetic sees pattern lengths only.  Whether it is the *right*
 arithmetic for an instance depends on the patterns having no borders and
 no cross overlaps; ``count_multi`` checks that through
@@ -24,6 +41,9 @@ a borderless stand-in pattern of the requested length.
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import partial
+from math import comb
 from typing import Iterator, Sequence
 
 from .combinatorics import binomial, multichoose, multinomial
@@ -66,32 +86,76 @@ def count_multi(instance: ProblemInstance) -> CountBreakdown:
     (carrying the report) when any pattern self-intersects or any pair of
     distinct patterns can overlap.  An infeasible instance, where the
     required copies cannot all fit, yields total 0 with no terms.
+
+    The total comes from the (J, L) sum.  The breakdown's ``terms`` are
+    the per-tuple summation, evaluated on first read and checked against
+    the total.
     """
     report = validate_instance(instance)
     if not report.is_formula_applicable:
         raise NotApplicableError(report)
+    return CountBreakdown.deferred(_collapsed_total(instance), partial(per_tuple_terms, instance))
 
+
+def _collapsed_total(instance: ProblemInstance) -> int:
+    """The summation over copy-count tuples, grouped by (J, L) as the
+    module docstring derives.  ``power`` holds P(y) ** J as
+    {L: coefficient}, cut at the free length: the positions left once
+    the required copies are placed.
+    """
+    q = instance.alphabet_size
+    required = instance.required_counts
+    required_total = sum(required)
+    free = instance.word_length - instance.minimum_occupancy
+    if free < 0:
+        return 0
+    pattern_poly = Counter(instance.pattern_lengths)  # P(y) as {a_p: patterns of that length}
+
+    total = 0
+    power = {0: 1}
+    extra_copies = 0  # J
+    while power:
+        placed = required_total + extra_copies
+        row = 0
+        for extra_length, coefficient in power.items():
+            unoccupied = free - extra_length
+            row += coefficient * q**unoccupied * multichoose(placed + 1, unoccupied)
+        row *= binomial(placed, required_total)
+        total += -row if extra_copies % 2 else row
+        following: dict[int, int] = {}
+        for extra_length, coefficient in power.items():
+            for length, patterns in pattern_poly.items():
+                key = extra_length + length
+                if key <= free:
+                    following[key] = following.get(key, 0) + coefficient * patterns
+        power = following
+        extra_copies += 1
+    return multinomial(required) * total
+
+
+def per_tuple_terms(instance: ProblemInstance) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The paper's summation, one signed term per feasible copy-count
+    tuple in lexicographic order: the reference ``count_multi`` checks
+    its total against when its terms are read.
+
+    Evaluated with ``math.comb`` alone, so nothing it does passes through
+    the combinatorics helpers the total is computed with.
+    """
+    q, t = instance.alphabet_size, instance.word_length
     lengths = instance.pattern_lengths
     required = instance.required_counts
     required_total = sum(required)
-
-    terms = []
-    for copies in iter_copy_counts(instance.word_length, instance.specs):
+    for copies in iter_copy_counts(t, instance.specs):
         copies_total = sum(copies)
-        unoccupied = instance.word_length - sum(
-            a * i for a, i in zip(lengths, copies)
-        )
-        value = (
-            instance.alphabet_size**unoccupied
-            * multichoose(copies_total + 1, unoccupied)
-            * multinomial(copies)
-        )
+        unoccupied = t - sum(a * i for a, i in zip(lengths, copies))
+        value = q**unoccupied * comb(copies_total + unoccupied, unoccupied)
+        placed = 0
         for i, x in zip(copies, required):
-            value *= binomial(i, i - x)
+            placed += i
+            value *= comb(placed, i) * comb(i, x)
         if (copies_total - required_total) % 2:
             value = -value
-        terms.append((copies, value))
-    return CountBreakdown.from_terms(terms)
+        yield copies, value
 
 
 def iter_copy_counts(

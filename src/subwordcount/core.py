@@ -11,8 +11,8 @@ unrestricted concurrent use is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import FrozenInstanceError, dataclass
+from typing import Callable, Iterable, Sequence
 
 from . import overlap
 
@@ -157,30 +157,77 @@ class ProblemInstance:
         return sum(s.pattern.length * s.required_count for s in self.specs)
 
 
-@dataclass(frozen=True)
 class CountBreakdown:
     """Exact total plus the signed value of every summation term.
 
     ``terms`` holds one entry per feasible copy-count tuple, in
-    lexicographic order; the total is their exact integer sum.
+    lexicographic order; the total is their exact integer sum.  A
+    breakdown built by ``deferred`` takes its total from a faster engine
+    and computes ``terms`` on first read, checks their sum against the
+    total and caches them.  Instances are immutable; two threads reading
+    ``terms`` of a deferred breakdown at once may both compute it, to the
+    same value.
     """
 
-    total: int
-    terms: tuple[tuple[tuple[int, ...], int], ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "terms", tuple((tuple(index), value) for index, value in self.terms)
-        )
-        if self.total != sum(value for _, value in self.terms):
+    def __init__(self, total: int, terms: Iterable[tuple[tuple[int, ...], int]]):
+        terms = _term_tuple(terms)
+        if total != sum(value for _, value in terms):
             raise ValueError("total does not equal the sum of the terms")
-        if self.total < 0:
-            raise ValueError("negative total: formula applied outside its domain")
+        self._fill(total, terms, None)
 
     @classmethod
     def from_terms(cls, terms: Iterable[tuple[tuple[int, ...], int]]) -> "CountBreakdown":
-        terms = tuple(terms)
-        return cls(sum(value for _, value in terms), terms)
+        """The breakdown whose total is the sum of ``terms``."""
+        terms = _term_tuple(terms)
+        breakdown = cls.__new__(cls)
+        breakdown._fill(sum(value for _, value in terms), terms, None)
+        return breakdown
+
+    @classmethod
+    def deferred(
+        cls, total: int, reference: Callable[[], Iterable[tuple[tuple[int, ...], int]]]
+    ) -> "CountBreakdown":
+        """A breakdown of ``total`` whose terms ``reference()`` yields when
+        ``terms`` is first read; that read raises ValueError if they do not
+        sum to ``total``."""
+        breakdown = cls.__new__(cls)
+        breakdown._fill(total, None, reference)
+        return breakdown
+
+    def _fill(self, total, terms, reference) -> None:
+        if total < 0:
+            raise ValueError("negative total: formula applied outside its domain")
+        vars(self).update(total=total, _terms=terms, _reference=reference)
+
+    @property
+    def terms(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        if self._terms is None:
+            terms = _term_tuple(self._reference())
+            if self.total != sum(value for _, value in terms):
+                raise ValueError("the terms do not sum to the total")
+            vars(self)["_terms"] = terms
+        return self._terms
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.total, self.terms) == (other.total, other.terms)
+
+    def __hash__(self):
+        return hash((self.total, self.terms))
+
+    def __repr__(self):
+        return f"CountBreakdown(total={self.total!r}, terms={self.terms!r})"
+
+
+def _term_tuple(terms) -> tuple[tuple[tuple[int, ...], int], ...]:
+    return tuple((tuple(index), value) for index, value in terms)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from subwordcount import (
     ProblemInstance,
     alternating_binomial_sum,
     binomial,
+    closed_form,
     count_multi,
     count_single,
     dp_count,
@@ -53,7 +54,8 @@ def test_01_single_pattern_counts_match_exhaustive_enumeration():
     conclude(1, True, f"{checked} (q, pattern, t, x) combinations, bit-exact")
 
 
-def test_02_two_pattern_counts_match_exhaustive_enumeration():
+def _two_pattern_cases():
+    """(q, t, a, x1, b, x2) for distinct applicable two-pattern spec sets."""
     count_cycle = [(1, 1), (2, 1), (1, 2), (0, 2), (3, 1), (2, 2)]
     cases = []
     seen = set()
@@ -71,6 +73,11 @@ def test_02_two_pattern_counts_match_exhaustive_enumeration():
             seen.add(key)
             cases.append((q, t, a, x1, b, x2))
             taken += 1
+    return cases
+
+
+def test_02_two_pattern_counts_match_exhaustive_enumeration():
+    cases = _two_pattern_cases()
     assert len(cases) >= 30, f"only {len(cases)} distinct applicable spec sets found"
     for q, t, a, x1, b, x2 in cases:
         inst = ProblemInstance.from_pairs(q, t, [(a, x1), (b, x2)])
@@ -244,4 +251,39 @@ def test_11_oracles_agree_on_adversarial_and_random_instances():
         True,
         f"{len(cases)} instances ({len(fixed)} adversarial, {100 - len(fixed)} random), "
         "both oracles bit-exact equal",
+    )
+
+
+def test_12_collapsed_total_matches_per_tuple_sum_and_automaton():
+    # the (J, L) total that count_multi returns, against two values computed
+    # without it: the per-tuple reference sum and the automaton oracle, on
+    # the instances of criteria 2 to 6 (the ACGT flagship among them)
+    names = tuple("abcdefghijklmnopqrstuvwxyz0123456789")
+    corpus = [
+        ProblemInstance.from_pairs(q, t, [(a, x1), (b, x2)])
+        for q, t, a, x1, b, x2 in _two_pattern_cases()
+    ]
+    corpus += [
+        ProblemInstance.from_pairs(4, 100, [((0, 3, 2), 5)], symbol_names=tuple("ACGT")),
+        ProblemInstance.from_pairs(26, 12, [((18, 4, 2), 2)]),
+        ProblemInstance.from_pairs(
+            4, 200, [((0, 3, 2), 10), ((1, 2, 3), 8)], symbol_names=tuple("ACGT")
+        ),
+        ProblemInstance.from_pairs(
+            36, 16, [((0, 1, 2), 2), ((27, 28, 29), 1)], symbol_names=names
+        ),
+    ]
+    tuples = 0
+    for inst in corpus:
+        breakdown = count_multi(inst)
+        terms = list(closed_form.per_tuple_terms(inst))
+        tuples += len(terms)
+        assert breakdown.total == sum(value for _, value in terms), inst
+        assert breakdown.total == dp_count(inst), inst
+        assert breakdown.terms == tuple(terms)
+    conclude(
+        12,
+        True,
+        f"{len(corpus)} instances ({tuples} copy-count tuples), collapsed total equals "
+        f"the per-tuple sum and the automaton, bit-exact",
     )

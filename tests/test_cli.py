@@ -132,6 +132,15 @@ class TestCount:
         assert [term["indices"] for term in payload["terms"]] == [[1], [2], [3]]
         assert sum(int(term["value"]) for term in payload["terms"]) == int(payload["count"])
 
+    def test_breakdown_whose_terms_disagree_with_the_total_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(closed_form, "per_tuple_terms", lambda instance: [((1,), 1)])
+        code, out, err = run(
+            capsys, "count", "--q", "2", "--t", "6", "--pattern", "ab=1", "--breakdown"
+        )
+        assert code == EXIT_DISAGREE
+        assert out == ""
+        assert "disagree" in err
+
     def test_named_alphabet_flag(self, capsys):
         code, out, _ = run(
             capsys, "count", "--alphabet", "ACGT", "--t", "10", "--pattern", "ATG=1"

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import borderless_patterns, independent_pattern_pairs
@@ -7,10 +7,13 @@ from subwordcount import (
     NotApplicableError,
     PatternSpec,
     ProblemInstance,
+    closed_form,
     count_multi,
     count_single,
+    dp_count,
     enumerate_count,
     iter_copy_counts,
+    validate_instance,
 )
 
 
@@ -109,6 +112,57 @@ class TestCountMulti:
             assert count_multi(inst).total == enumerate_count(inst), (a, b)
             checked += 1
         assert checked >= 3
+
+
+@st.composite
+def disjoint_instances(draw):
+    """Instances of 1 to 4 patterns of lengths 1 to 4, each starting with
+    its own head symbol and going on over filler symbols no pattern
+    starts with, so no pattern has a border and no two can overlap."""
+    patterns = draw(st.integers(1, 4))
+    q = patterns + draw(st.integers(1, 2))
+    pairs = []
+    for head in range(patterns):
+        length = draw(st.integers(1, 4))
+        fillers = st.integers(patterns, q - 1)
+        tail = draw(st.lists(fillers, min_size=length - 1, max_size=length - 1))
+        pairs.append(((head, *tail), draw(st.integers(0, 2))))
+    return ProblemInstance.from_pairs(q, draw(st.integers(0, 12)), pairs)
+
+
+class TestCollapsedTotal:
+    """The (J, L) total against the per-tuple reference sum and the
+    automaton oracle, two values computed without it."""
+
+    @given(disjoint_instances())
+    # t = 0 with nothing required, t = 0 with a copy required, copies that
+    # do not fit, and four patterns of lengths 1 to 4
+    @example(ProblemInstance.from_pairs(5, 0, [((0,), 0), ((1, 3), 0), ((2, 3, 4), 0)]))
+    @example(ProblemInstance.from_pairs(5, 0, [((0, 3), 1)]))
+    @example(ProblemInstance.from_pairs(6, 7, [((0, 4), 2), ((1, 5, 4, 4), 1)]))
+    @example(
+        ProblemInstance.from_pairs(
+            6, 12, [((0,), 0), ((1, 4), 2), ((2, 4, 5), 0), ((3, 5, 5, 4), 1)]
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_tuple_sum_and_automaton(self, inst):
+        assert validate_instance(inst).is_formula_applicable
+        total = count_multi(inst).total
+        assert total == sum(value for _, value in closed_form.per_tuple_terms(inst))
+        assert total == dp_count(inst)
+
+    def test_total_never_walks_copy_count_tuples(self, monkeypatch):
+        def walked(*args):
+            raise AssertionError("copy-count tuples walked")
+
+        inst = ProblemInstance.from_pairs(6, 40, [((0, 3), 2), ((1, 4, 4), 1), ((2, 5, 3, 3), 0)])
+        expected = count_multi(inst).total
+        monkeypatch.setattr(closed_form, "iter_copy_counts", walked)
+        breakdown = count_multi(inst)
+        assert breakdown.total == expected
+        with pytest.raises(AssertionError, match="walked"):
+            breakdown.terms
 
 
 class TestIterCopyCounts:

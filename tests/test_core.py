@@ -138,6 +138,37 @@ class TestCountBreakdown:
     def test_empty_terms_total_zero(self):
         assert CountBreakdown.from_terms([]).total == 0
 
+    def test_deferred_terms_disagreeing_with_the_total_raise_on_first_read(self):
+        b = CountBreakdown.deferred(10, lambda: [((1,), 9)])
+        assert b.total == 10
+        with pytest.raises(ValueError):
+            b.terms
+
+    def test_deferred_terms_are_computed_once(self):
+        calls = []
+
+        def reference():
+            calls.append(1)
+            return [([2], 12), ([3], -2)]
+
+        b = CountBreakdown.deferred(10, reference)
+        assert calls == []
+        assert b.terms == (((2,), 12), ((3,), -2))
+        assert b.terms is b.terms
+        assert calls == [1]
+        assert b == CountBreakdown.from_terms([((2,), 12), ((3,), -2)])
+
+    def test_deferred_negative_total_rejected(self):
+        with pytest.raises(ValueError):
+            CountBreakdown.deferred(-1, lambda: [((0,), -1)])
+
+    def test_immutable(self):
+        b = CountBreakdown.from_terms([((2,), 12)])
+        with pytest.raises(AttributeError):
+            b.total = 13
+        with pytest.raises(AttributeError):
+            b.terms = ()
+
 
 class TestValidateInstance:
     def test_applicable_instance(self):
