@@ -5,7 +5,7 @@ time by q**2 (16x for DNA).  The closed form evaluates a summation whose
 length grows only linearly in t, with big-integer arithmetic on top.
 The same sweep is available from the command line:
 
-    subwordcount bench --q 4 --t 8 --t 10 --t 12 \
+    subwordcount bench --q 4 --t 8 --t 10 --t 12 --pattern abb=2 \
         --method closed_form --method enumeration --method automaton --csv
 """
 

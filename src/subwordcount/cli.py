@@ -1,5 +1,10 @@
 """Command line interface: count, verify, validate, and bench.
 
+Every subcommand reads its instance the same way: ``--input FILE`` with a
+JSON instance document, or the inline flags ``--q``/``--alphabet``, ``--t``
+and ``--pattern STR=COUNT``, which become the same document.  ``bench``
+times the instance once per ``--t`` given; the others use the last one.
+
 Exit codes are a contract shared by every subcommand:
 
   0  success, and all computed values agree
@@ -179,7 +184,9 @@ def report_to_document(report: ValidationReport) -> dict:
     }
 
 
-def _instance_from_args(args) -> ProblemInstance:
+def _instance_from_args(args, length: int | None = None) -> ProblemInstance:
+    """The instance the flags describe: the ``--input`` document, or the
+    inline flags at word length ``length`` (by default the last ``--t``)."""
     inline_used = (
         args.q is not None
         or args.t is not None
@@ -194,16 +201,18 @@ def _instance_from_args(args) -> ProblemInstance:
                 document = json.load(handle)
         except (OSError, UnicodeDecodeError) as exc:
             raise DocumentError(f"cannot read {args.input}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise DocumentError(f"{args.input} is not valid JSON: {exc}") from exc
+        except (ValueError, RecursionError) as exc:
+            # bad JSON, nesting too deep, or an integer past the str digit limit
+            raise DocumentError(f"{args.input} is not a usable JSON document: {exc}") from exc
         return parse_document(document)
     if not inline_used:
         raise DocumentError("give --input FILE or the inline flags --q/--t/--pattern")
-    return parse_document(_document_from_flags(args))
+    return parse_document(_document_from_flags(args, length))
 
 
-def _document_from_flags(args) -> dict:
-    """The instance document the inline flags describe."""
+def _document_from_flags(args, length: int | None) -> dict:
+    """The instance document the inline flags describe, at word length
+    ``length`` or else the last ``--t``."""
     if args.t is None:
         raise DocumentError("--t is required")
     if not args.pattern:
@@ -228,7 +237,11 @@ def _document_from_flags(args) -> dict:
         except ValueError:
             raise DocumentError(f"required count {count_text!r} is not an integer") from None
         patterns.append({"pattern": text, "count": count})
-    return {"alphabet": alphabet, "length": args.t, "patterns": patterns}
+    return {
+        "alphabet": alphabet,
+        "length": args.t[-1] if length is None else length,
+        "patterns": patterns,
+    }
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -291,43 +304,14 @@ def _cmd_validate(args) -> int:
     return EXIT_OK if report.is_formula_applicable else EXIT_NOT_APPLICABLE
 
 
-def synthesized_instance(
-    alphabet_size: int, word_length: int, lengths: Sequence[int], required: Sequence[int]
-) -> ProblemInstance:
-    """Benchmark instance with one borderless pattern per requested length.
-
-    Pattern j is symbol 2j followed by copies of symbol 2j+1, so patterns
-    use pairwise disjoint symbols and the closed form always applies.
-    Needs an alphabet of at least twice the pattern count.
-    """
-    if len(lengths) != len(required):
-        raise DocumentError("one required count per pattern length is needed")
-    if 2 * len(lengths) > alphabet_size:
-        raise DocumentError(
-            f"{len(lengths)} benchmark patterns need an alphabet of at least "
-            f"{2 * len(lengths)} symbols, got {alphabet_size}"
-        )
-    pairs = []
-    for j, (length, want) in enumerate(zip(lengths, required)):
-        if length < 1:
-            raise DocumentError("pattern lengths must be >= 1")
-        pairs.append(((2 * j,) + (2 * j + 1,) * (length - 1), want))
-    try:
-        return ProblemInstance.from_pairs(alphabet_size, word_length, pairs)
-    except (TypeError, ValueError) as exc:
-        raise DocumentError(str(exc)) from exc
-
-
 def _cmd_bench(args) -> int:
-    lengths = args.pattern_length or [3]
-    required = args.required or [2]
-    if len(required) == 1 and len(lengths) > 1:
-        required = required * len(lengths)
+    # one instance per --t; without --t (an --input document) just the one
+    instances = [_instance_from_args(args, t) for t in args.t or [None]]
     methods = list(dict.fromkeys(args.method or ["closed_form"]))
 
     rows = []
-    for t in args.t:
-        instance = synthesized_instance(args.q, t, lengths, required)
+    for instance in instances:
+        t = instance.word_length
         seen: dict[str, int] = {}
         for method in methods:
             durations = []
@@ -343,10 +327,10 @@ def _cmd_bench(args) -> int:
             rows.append(
                 {
                     "method": method,
-                    "q": args.q,
+                    "q": instance.alphabet_size,
                     "t": t,
-                    "pattern_lengths": list(lengths),
-                    "required_counts": list(required),
+                    "pattern_lengths": list(instance.pattern_lengths),
+                    "required_counts": list(instance.required_counts),
                     "wall_seconds": statistics.median(durations),
                     "count_digits": len(_decimal(value)),
                 }
@@ -413,7 +397,13 @@ def _build_parser() -> _Parser:
     instance_flags = _Parser(add_help=False)
     instance_flags.add_argument("--input", metavar="FILE", help="JSON instance document")
     instance_flags.add_argument("--q", type=int, metavar="N", help="alphabet size")
-    instance_flags.add_argument("--t", type=int, metavar="N", help="word length")
+    instance_flags.add_argument(
+        "--t",
+        type=int,
+        action="append",
+        metavar="N",
+        help="word length; bench times each one given, the other commands use the last",
+    )
     instance_flags.add_argument(
         "--pattern",
         action="append",
@@ -467,35 +457,12 @@ def _build_parser() -> _Parser:
 
     bench_p = sub.add_parser(
         "bench",
-        parents=[output_flag, guard_flag],
-        help="time counting methods on synthesized instances",
+        parents=[instance_flags, output_flag, guard_flag],
+        help="time counting methods on the instance, once per --t",
     )
     fmt = bench_p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="JSON output")
     fmt.add_argument("--csv", action="store_true", help="CSV output (the default)")
-    bench_p.add_argument("--q", type=int, default=4, metavar="N", help="alphabet size")
-    bench_p.add_argument(
-        "--t",
-        type=int,
-        action="append",
-        metavar="N",
-        required=True,
-        help="word length; repeat for a sweep",
-    )
-    bench_p.add_argument(
-        "--pattern-length",
-        type=int,
-        action="append",
-        metavar="N",
-        help="length of a synthesized pattern; repeatable (default: one of length 3)",
-    )
-    bench_p.add_argument(
-        "--required",
-        type=int,
-        action="append",
-        metavar="N",
-        help="required count per pattern; a single value broadcasts (default: 2)",
-    )
     bench_p.add_argument(
         "--method",
         action="append",

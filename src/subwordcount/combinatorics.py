@@ -1,8 +1,9 @@
 """Exact combinatorial primitives on arbitrary-precision integers.
 
-Out-of-range binomials are 0 rather than errors; the summations built on
-top of this module run over boundary indices and rely on that convention
-silently.  Everything returns exact Python ints, never floats.
+Out-of-range binomials are 0 rather than errors.  The closed form passes
+only in-range arguments; ``alternating_binomial_sum`` is the one caller
+that relies on the convention, for its boundary terms.  Everything
+returns exact Python ints, never floats.
 """
 
 from __future__ import annotations

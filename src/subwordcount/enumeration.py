@@ -33,10 +33,15 @@ def count_occurrences(word: Sequence, pattern: Sequence) -> int:
 
 
 def _check_guard(alphabet_size: int, word_length: int, guard: int) -> None:
-    if alphabet_size**word_length > guard:
-        raise BudgetExceededError(
-            f"enumerating {alphabet_size}**{word_length} words exceeds the guard of {guard}"
-        )
+    # Multiply one symbol at a time and stop once past the guard: the full
+    # power q**t of a huge word length would take seconds just to compute.
+    words = 1
+    for _ in range(word_length):
+        words *= alphabet_size
+        if words > guard:
+            raise BudgetExceededError(
+                f"enumerating {alphabet_size}**{word_length} words exceeds the guard of {guard}"
+            )
 
 
 def enumerate_count(instance: ProblemInstance, guard: int = DEFAULT_GUARD) -> int:

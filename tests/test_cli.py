@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subwordcount import ProblemInstance, cli, closed_form, count_multi
@@ -23,7 +23,6 @@ from subwordcount.cli import (
     instance_to_document,
     main,
     parse_document,
-    synthesized_instance,
 )
 
 
@@ -171,6 +170,13 @@ class TestCount:
         assert code == EXIT_OK
         assert json.loads(out)["count"] == "10"
 
+    def test_repeated_t_takes_the_last(self, capsys):
+        code, out, _ = run(
+            capsys, "count", "--q", "2", "--t", "-1", "--t", "4", "--pattern", "ab=1"
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["count"] == "10"
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "result.json"
         code, out, _ = run(
@@ -201,6 +207,12 @@ class TestCount:
             ("bench", "--t", "4", "--guard", "-1"),
             ("bench", "--t", "4", "--reps", "0"),
             ("count", "--q", "2", "--t", "4", "--pattern", "ab=1", "--json"),
+            ("bench", "--t", "4"),
+            ("bench", "--q", "4", "--pattern", "abb=2"),
+            ("bench", "--q", "4", "--t", "4", "--t", "-1", "--pattern", "abb=2"),
+            ("bench", "--q", "4", "--t", "4", "--pattern", "abb=2", "--input", "x.json"),
+            ("bench", "--q", "4", "--t", "4", "--pattern-length", "3"),
+            ("bench", "--q", "4", "--t", "4", "--required", "2"),
         ],
     )
     def test_malformed_input_exits_1(self, capsys, argv):
@@ -215,13 +227,29 @@ class TestCount:
         assert code == EXIT_INPUT
         assert "error:" in err
 
+    @pytest.mark.parametrize("command", ["count", "verify", "validate", "bench"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 100_000 + "]" * 100_000,  # too deep for the decoder
+            '{"alphabet": {"size": 2}, "length": ' + "1" * 5000 + ', "patterns": []}',
+        ],
+        ids=["deep_nesting", "int_past_the_digit_limit"],
+    )
+    def test_input_that_json_cannot_load_exits_1(self, capsys, tmp_path, command, text):
+        path = tmp_path / "instance.json"
+        path.write_text(text)
+        code, out, err = run(capsys, command, "--input", str(path))
+        assert code == EXIT_INPUT
+        assert "error:" in err
+
     @pytest.mark.parametrize(
         "argv",
         [
             ("count", "--q", "2", "--t", "4", "--pattern", "ab=1"),
             ("verify", "--q", "2", "--t", "4", "--pattern", "ab=1"),
             ("validate", "--q", "2", "--t", "4", "--pattern", "ab=1"),
-            ("bench", "--t", "4", "--reps", "1"),
+            ("bench", "--q", "4", "--t", "4", "--pattern", "abb=2", "--reps", "1"),
         ],
     )
     def test_output_in_a_missing_directory_exits_1(self, capsys, tmp_path, argv):
@@ -329,30 +357,11 @@ class TestValidate:
         assert json.loads(out)["self_intersecting"] == [True]
 
 
-class TestSynthesizedInstance:
-    def test_patterns_are_borderless_and_disjoint(self):
-        inst = synthesized_instance(6, 20, [3, 4], [2, 1])
-        from subwordcount import validate_instance
-
-        assert validate_instance(inst).is_formula_applicable
-        assert inst.pattern_lengths == (3, 4)
-        assert inst.specs[0].pattern.symbols == (0, 1, 1)
-        assert inst.specs[1].pattern.symbols == (2, 3, 3, 3)
-
-    def test_alphabet_too_small_rejected(self):
-        with pytest.raises(DocumentError):
-            synthesized_instance(3, 20, [3, 3], [1, 1])
-
-    def test_count_arity_mismatch_rejected(self):
-        with pytest.raises(DocumentError):
-            synthesized_instance(4, 20, [3, 3], [1])
-
-
 class TestBench:
     def test_csv_shape_and_agreement(self, capsys):
         code, out, _ = run(
             capsys,
-            "bench", "--q", "4", "--t", "6", "--t", "8",
+            "bench", "--q", "4", "--t", "6", "--t", "8", "--pattern", "abb=2",
             "--method", "closed_form", "--method", "enumeration", "--method", "automaton",
             "--reps", "1",
         )
@@ -363,16 +372,20 @@ class TestBench:
             "wall_seconds", "count_digits",
         ]
         assert len(rows) == 1 + 6
+        assert [r[2] for r in rows[1:]] == ["6"] * 3 + ["8"] * 3
         digits = {(r[2], r[6]) for r in rows[1:]}
         assert len(digits) == 2  # per t, all methods report the same digit count
 
     def test_json_rows(self, capsys):
         code, out, _ = run(
-            capsys, "bench", "--q", "4", "--t", "10", "--method", "closed_form", "--json"
+            capsys,
+            "bench", "--q", "4", "--t", "10", "--pattern", "abb=2",
+            "--method", "closed_form", "--json",
         )
         assert code == EXIT_OK
         rows = json.loads(out)["rows"]
         assert rows[0]["method"] == "closed_form"
+        assert rows[0]["q"] == 4
         assert rows[0]["t"] == 10
         assert rows[0]["pattern_lengths"] == [3]
         assert rows[0]["required_counts"] == [2]
@@ -380,7 +393,8 @@ class TestBench:
     def test_method_refusing_everything_exits_4(self, capsys):
         code, out, err = run(
             capsys,
-            "bench", "--q", "4", "--t", "20", "--method", "enumeration", "--guard", "100",
+            "bench", "--q", "4", "--t", "20", "--pattern", "abb=2",
+            "--method", "enumeration", "--guard", "100",
         )
         assert code == EXIT_REFUSED
         assert "refused" in err
@@ -388,7 +402,7 @@ class TestBench:
     def test_partial_refusal_keeps_other_rows(self, capsys):
         code, out, err = run(
             capsys,
-            "bench", "--q", "4", "--t", "4", "--t", "20",
+            "bench", "--q", "4", "--t", "4", "--t", "20", "--pattern", "abb=2",
             "--method", "closed_form", "--method", "enumeration",
             "--guard", "100000", "--reps", "1",
         )
@@ -402,17 +416,18 @@ class TestBench:
         monkeypatch.setattr(cli, "dp_count", lambda instance: 1)
         code, _, err = run(
             capsys,
-            "bench", "--q", "4", "--t", "8",
+            "bench", "--q", "4", "--t", "8", "--pattern", "abb=2",
             "--method", "closed_form", "--method", "automaton", "--reps", "1",
         )
         assert code == EXIT_DISAGREE
         assert "disagree" in err
 
     def test_multi_pattern_defaults_broadcast(self, capsys):
+        # rows name every pattern's length and required count
         code, out, _ = run(
             capsys,
-            "bench", "--q", "6", "--t", "12", "--pattern-length", "2",
-            "--pattern-length", "3", "--required", "1", "--reps", "1",
+            "bench", "--q", "6", "--t", "12", "--pattern", "ab=1", "--pattern", "cdd=1",
+            "--reps", "1",
         )
         assert code == EXIT_OK
         rows = list(csv.reader(io.StringIO(out)))[1:]
@@ -422,11 +437,42 @@ class TestBench:
     def test_count_digits_past_the_int_str_digit_limit(self, capsys):
         code, out, _ = run(
             capsys,
-            "bench", "--q", "36", "--t", "3000", "--pattern-length", "3", "--required", "1",
+            "bench", "--q", "36", "--t", "3000", "--pattern", "abb=1",
             "--reps", "1", "--json",
         )
         assert code == EXIT_OK
         assert json.loads(out)["rows"][0]["count_digits"] == 4668
+
+    def test_inapplicable_reports_and_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "bench", "--q", "2", "--t", "6", "--pattern", "aba=1", "--reps", "1"
+        )
+        assert code == EXIT_NOT_APPLICABLE
+        assert out == ""
+        assert json.loads(err)["self_intersecting"] == [True]
+
+    def test_document_input_rows_carry_its_instance(self, capsys, tmp_path):
+        document = {
+            "alphabet": {"symbols": ["A", "C", "G", "T"]},
+            "length": 12,
+            "patterns": [{"pattern": "AT", "count": 1}, {"pattern": "GCC", "count": 2}],
+        }
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(document))
+        code, out, _ = run(
+            capsys,
+            "bench", "--input", str(path),
+            "--method", "closed_form", "--method", "automaton", "--reps", "1", "--json",
+        )
+        assert code == EXIT_OK
+        rows = json.loads(out)["rows"]
+        assert [row["method"] for row in rows] == ["closed_form", "automaton"]
+        expected = count_multi(parse_document(document)).total
+        for row in rows:
+            assert (row["q"], row["t"]) == (4, 12)
+            assert row["pattern_lengths"] == [2, 3]
+            assert row["required_counts"] == [1, 2]
+            assert row["count_digits"] == len(str(expected))
 
 
 json_values = st.recursive(
@@ -528,22 +574,22 @@ class TestExitContract:
         assert code in {EXIT_OK, EXIT_INPUT, EXIT_NOT_APPLICABLE, EXIT_DISAGREE, EXIT_REFUSED}
 
     @given(
-        q=st.integers(2, 6),
-        ts=st.lists(st.integers(-1, 8), min_size=1, max_size=2),
-        lengths=st.lists(st.integers(0, 4), max_size=2),
-        required=st.lists(st.integers(-1, 3), max_size=2),
+        ts=st.lists(st.integers(-1, 8), max_size=3),
+        alphabet=alphabet_flags,
+        patterns=pattern_flags,
         methods=st.lists(
             st.sampled_from(["closed_form", "enumeration", "automaton"]), max_size=3
         ),
     )
+    @example(ts=[6], alphabet=["--q", "2"], patterns=["aba=1"], methods=[])  # bordered
+    @example(  # overlapping, timed by the oracles only
+        ts=[5, 6], alphabet=["--q", "3"], patterns=["ab=1", "ba=1"], methods=["automaton"]
+    )
     @settings(max_examples=80, deadline=None)
-    def test_bench_argv_exits_within_the_contract(self, q, ts, lengths, required, methods):
+    def test_bench_argv_exits_within_the_contract(self, ts, alphabet, patterns, methods):
         # keep enumeration small; refusing every instance is exit 4
-        argv = ["bench", "--q", str(q), "--reps", "1", "--guard", "20000"]
-        for flag, values in (
-            ("--t", ts), ("--pattern-length", lengths), ("--required", required),
-            ("--method", methods),
-        ):
+        argv = ["bench", *alphabet, "--reps", "1", "--guard", "20000"]
+        for flag, values in (("--t", ts), ("--pattern", patterns), ("--method", methods)):
             for value in values:
                 argv += [flag, str(value)]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):

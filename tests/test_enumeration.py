@@ -62,6 +62,23 @@ class TestEnumerateCount:
         with pytest.raises(BudgetExceededError):
             enumerate_count(inst, guard=10**6)
 
+    def test_guard_is_exact_at_the_boundary(self):
+        inst = ProblemInstance.from_pairs(2, 10, [((0, 1), 1)])
+        assert enumerate_count(inst, guard=2**10) == 165  # 1^a 0^b 1^c 0^d, b, c >= 1
+        with pytest.raises(BudgetExceededError):
+            enumerate_count(inst, guard=2**10 - 1)
+
+    def test_guard_refuses_without_computing_the_full_power(self):
+        class NoPower(int):
+            def __pow__(self, other, modulo=None):
+                raise AssertionError("the guard must not compute q ** t")
+
+        inst = ProblemInstance.from_pairs(NoPower(36), 10**7, [((0, 1, 1), 1)])
+        with pytest.raises(BudgetExceededError):
+            enumerate_count(inst)
+        with pytest.raises(BudgetExceededError):
+            occurrence_profile_counts(NoPower(36), 10**7, [(0,)])
+
 
 class TestOccurrenceProfileCounts:
     def test_profiles_partition_the_word_set(self):
