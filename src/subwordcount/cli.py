@@ -308,6 +308,11 @@ def _cmd_bench(args) -> int:
     # one instance per --t; without --t (an --input document) just the one
     instances = [_instance_from_args(args, t) for t in args.t or [None]]
     methods = list(dict.fromkeys(args.method or ["closed_form"]))
+    if "closed_form" in methods:
+        # refuse before timing anything; the patterns, hence the report, are the same at every --t
+        report = validate_instance(instances[0])
+        if not report.is_formula_applicable:
+            raise NotApplicableError(report)
 
     rows = []
     for instance in instances:

@@ -451,6 +451,19 @@ class TestBench:
         assert out == ""
         assert json.loads(err)["self_intersecting"] == [True]
 
+    def test_inapplicable_exits_2_before_timing_any_method(self, capsys, monkeypatch):
+        def timed(*args):
+            raise AssertionError("enumeration timed")
+
+        monkeypatch.setattr(cli, "enumerate_count", timed)
+        code, out, err = run(
+            capsys, "bench", "--q", "2", "--t", "16", "--t", "18", "--pattern", "aba=1",
+            "--method", "enumeration", "--method", "closed_form", "--reps", "1",
+        )
+        assert code == EXIT_NOT_APPLICABLE
+        assert out == ""
+        assert json.loads(err)["self_intersecting"] == [True]
+
     def test_document_input_rows_carry_its_instance(self, capsys, tmp_path):
         document = {
             "alphabet": {"symbols": ["A", "C", "G", "T"]},

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -131,8 +133,8 @@ def disjoint_instances(draw):
 
 
 class TestCollapsedTotal:
-    """The (J, L) total against the per-tuple reference sum and the
-    automaton oracle, two values computed without it."""
+    """The coefficient-recurrence total against the per-tuple reference
+    sum and the automaton oracle, two values computed without it."""
 
     @given(disjoint_instances())
     # t = 0 with nothing required, t = 0 with a copy required, copies that
@@ -143,6 +145,17 @@ class TestCollapsedTotal:
     @example(
         ProblemInstance.from_pairs(
             6, 12, [((0,), 0), ((1, 4), 2), ((2, 4, 5), 0), ((3, 5, 5, 4), 1)]
+        )
+    )
+    # every symbol a length-1 pattern, so D(z) = 1 (totals 3 and 0); the
+    # drawn instances always keep a filler symbol and never reach it
+    @example(ProblemInstance.from_pairs(2, 3, [((0,), 1), ((1,), 2)]))
+    @example(ProblemInstance.from_pairs(2, 4, [((0,), 1), ((1,), 2)]))
+    # long words: one pattern at a wide alphabet, and three distinct lengths
+    @example(ProblemInstance.from_pairs(36, 1000, [((0, 1, 1), 1)]))
+    @example(
+        ProblemInstance.from_pairs(
+            8, 60, [((0, 3, 3), 1), ((1, 3, 4, 4), 2), ((2, 4, 3, 5, 5), 0)]
         )
     )
     @settings(max_examples=300, deadline=None)
@@ -163,6 +176,18 @@ class TestCollapsedTotal:
         assert breakdown.total == expected
         with pytest.raises(AssertionError, match="walked"):
             breakdown.terms
+
+    def test_total_keeps_a_window_of_coefficients_not_all_of_them(self):
+        # the longest benchmark CLI row: its 3,856 coefficients, if all kept,
+        # take over 5 MB; a window of the last three takes a few tens of kB
+        inst = ProblemInstance.from_pairs(36, 3855, [((0, 1, 1), 1)])
+        tracemalloc.start()
+        try:
+            count_multi(inst).total
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestIterCopyCounts:
