@@ -16,26 +16,21 @@ with sign (-1) ** (total copies - total required copies), which makes the
 leading term positive and the signed sum collapse to the exact count.
 
 There are about t ** d tuples for d patterns, so the one engine,
-``count_multi``, does not walk them.  As power series in z marking
-positions, the tuples with J extra copies fill and spread their free
-positions as (1 - q z) ** -(X + J + 1), X = sum x_p, and interleave as
-P(z) ** J, P(z) = sum_p z ** a_p (a_p the pattern lengths).  Summed over
-J with sign and C(X + J, X), that is a binomial series, so with
-free = t - sum a_p x_p (the Goulden-Jackson cluster form, single copies
-as clusters)
+``count_multi``, sums them grouped instead.  Writing i_p = x_p + j_p for
+required counts x_p, every tuple with the same J = sum j_p and
+L = sum a_p j_p (a_p the pattern lengths) has the same g and gap factor,
+and the multinomial times the binomials is
+C(X + J, X) * multinomial(x) * multinomial(j), X = sum x_p.  Summed over
+the tuples of one (J, L), multinomial(j) is the coefficient of y ** L in
+P(y) ** J, P(y) = sum_p y ** a_p.  So the total is
 
-  count = multinomial(x) * [z ** free] D(z) ** -(X + 1),  D = 1 - q z + P.
+  multinomial(x) * sum over (J, L) of
+      (-1) ** J * q ** g * C(X + J + g, g) * C(X + J, X) * [y ** L] P ** J
 
-F = D ** -m, m = X + 1, satisfies D F' = -m D' F, so
-
-  n F_n = -sum over k >= 1 of D_k (n + (m - 1) k) F_(n - k),  F_0 = 1,
-
-dividing exactly by n.  D_1 is the number of length-1 patterns minus q
-and D_k, k >= 2, the number of patterns of length k: a step costs one
-product per distinct length, plus one, and only the last max(a_p)
-coefficients are kept.  ``per_tuple_terms`` evaluates the summation
-tuple by tuple; it is the reference, run only when a breakdown's
-``terms`` are read, and that read checks its sum against the total.
+with g = t - sum a_p x_p - L, which has O(t ** 2 / a_min) terms whatever
+d is.  ``per_tuple_terms`` evaluates the summation tuple by tuple; it is
+the reference, run only when a breakdown's ``terms`` are read, and that
+read checks its sum against the total.
 
 The arithmetic sees pattern lengths only.  Whether it is the *right*
 arithmetic for an instance depends on the patterns having no borders and
@@ -46,13 +41,12 @@ a borderless stand-in pattern of the requested length.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from functools import partial
 from math import comb
 from typing import Iterator, Sequence
 
-# binomial and multichoose are unused here; the benchmark's tracer wraps these bindings
-from .combinatorics import binomial, multichoose, multinomial  # noqa: F401
+from .combinatorics import binomial, multichoose, multinomial
 from .core import (
     CountBreakdown,
     NotApplicableError,
@@ -93,35 +87,50 @@ def count_multi(instance: ProblemInstance) -> CountBreakdown:
     distinct patterns can overlap.  An infeasible instance, where the
     required copies cannot all fit, yields total 0 with no terms.
 
-    The total comes from the module docstring's recurrence.  The
-    breakdown's ``terms`` are the per-tuple summation, evaluated on first
-    read and checked against the total.
+    The total comes from the (J, L) sum.  The breakdown's ``terms`` are
+    the per-tuple summation, evaluated on first read and checked against
+    the total.
     """
     report = validate_instance(instance)
     if not report.is_formula_applicable:
         raise NotApplicableError(report)
-    return CountBreakdown.deferred(_recurrence_total(instance), partial(per_tuple_terms, instance))
+    return CountBreakdown.deferred(_collapsed_total(instance), partial(per_tuple_terms, instance))
 
 
-def _recurrence_total(instance: ProblemInstance) -> int:
-    """The module docstring's recurrence.  ``window`` holds the last
-    max(a_p) coefficients, zeros before F_0; it is sized from the lengths
-    because D can be 1 (every symbol a length-1 pattern)."""
+def _collapsed_total(instance: ProblemInstance) -> int:
+    """The summation over copy-count tuples, grouped by (J, L) as the
+    module docstring derives.  ``power`` holds P(y) ** J as
+    {L: coefficient}, cut at the free length: the positions left once
+    the required copies are placed.
+    """
+    q = instance.alphabet_size
+    required = instance.required_counts
+    required_total = sum(required)
     free = instance.word_length - instance.minimum_occupancy
     if free < 0:
         return 0
-    lengths = instance.pattern_lengths
-    required_total = sum(instance.required_counts)  # X = m - 1
-    denominator = Counter(lengths)  # D_k for k >= 1, as {k: D_k}
-    denominator[1] -= instance.alphabet_size
-    width = max(lengths)
-    window = deque([0] * (width - 1) + [1], maxlen=width)
-    for n in range(1, free + 1):
-        weighted = 0
-        for k, d_k in denominator.items():
-            weighted += d_k * (n + required_total * k) * window[-k]
-        window.append(-weighted // n)
-    return multinomial(instance.required_counts) * window[-1]
+    pattern_poly = Counter(instance.pattern_lengths)  # P(y) as {a_p: patterns of that length}
+
+    total = 0
+    power = {0: 1}
+    extra_copies = 0  # J
+    while power:
+        placed = required_total + extra_copies
+        row = 0
+        for extra_length, coefficient in power.items():
+            unoccupied = free - extra_length
+            row += coefficient * q**unoccupied * multichoose(placed + 1, unoccupied)
+        row *= binomial(placed, required_total)
+        total += -row if extra_copies % 2 else row
+        following: dict[int, int] = {}
+        for extra_length, coefficient in power.items():
+            for length, patterns in pattern_poly.items():
+                key = extra_length + length
+                if key <= free:
+                    following[key] = following.get(key, 0) + coefficient * patterns
+        power = following
+        extra_copies += 1
+    return multinomial(required) * total
 
 
 def per_tuple_terms(instance: ProblemInstance) -> Iterator[tuple[tuple[int, ...], int]]:

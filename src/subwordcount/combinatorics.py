@@ -1,9 +1,9 @@
 """Exact combinatorial primitives on arbitrary-precision integers.
 
-Out-of-range binomials are 0 rather than errors;
-``alternating_binomial_sum`` relies on the convention for its boundary
-terms.  The closed form calls only ``multinomial``.  Everything returns
-exact Python ints, never floats.
+Out-of-range binomials are 0 rather than errors.  The closed form passes
+only in-range arguments; ``alternating_binomial_sum`` is the one caller
+that relies on the convention, for its boundary terms.  Everything
+returns exact Python ints, never floats.
 """
 
 from __future__ import annotations

@@ -255,10 +255,9 @@ def test_11_oracles_agree_on_adversarial_and_random_instances():
 
 
 def test_12_collapsed_total_matches_per_tuple_sum_and_automaton():
-    # the coefficient-recurrence total that count_multi returns, against two
-    # values computed without it: the per-tuple reference sum and the
-    # automaton oracle, on the instances of criteria 2 to 6 (the ACGT
-    # flagship among them)
+    # the (J, L) total that count_multi returns, against two values computed
+    # without it: the per-tuple reference sum and the automaton oracle, on
+    # the instances of criteria 2 to 6 (the ACGT flagship among them)
     names = tuple("abcdefghijklmnopqrstuvwxyz0123456789")
     corpus = [
         ProblemInstance.from_pairs(q, t, [(a, x1), (b, x2)])

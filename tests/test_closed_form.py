@@ -133,8 +133,8 @@ def disjoint_instances(draw):
 
 
 class TestCollapsedTotal:
-    """The coefficient-recurrence total against the per-tuple reference
-    sum and the automaton oracle, two values computed without it."""
+    """The (J, L) total against the per-tuple reference sum and the
+    automaton oracle, two values computed without it."""
 
     @given(disjoint_instances())
     # t = 0 with nothing required, t = 0 with a copy required, copies that
@@ -147,8 +147,9 @@ class TestCollapsedTotal:
             6, 12, [((0,), 0), ((1, 4), 2), ((2, 4, 5), 0), ((3, 5, 5, 4), 1)]
         )
     )
-    # every symbol a length-1 pattern, so D(z) = 1 (totals 3 and 0); the
-    # drawn instances always keep a filler symbol and never reach it
+    # every symbol a length-1 pattern, so no symbol fills a gap (totals 3
+    # and 0); the drawn instances always keep a filler symbol and never
+    # reach it
     @example(ProblemInstance.from_pairs(2, 3, [((0,), 1), ((1,), 2)]))
     @example(ProblemInstance.from_pairs(2, 4, [((0,), 1), ((1,), 2)]))
     # long words: one pattern at a wide alphabet, and three distinct lengths
@@ -177,9 +178,10 @@ class TestCollapsedTotal:
         with pytest.raises(AssertionError, match="walked"):
             breakdown.terms
 
-    def test_total_keeps_a_window_of_coefficients_not_all_of_them(self):
-        # the longest benchmark CLI row: its 3,856 coefficients, if all kept,
-        # take over 5 MB; a window of the last three takes a few tens of kB
+    def test_total_memory_stays_small_on_the_longest_cli_row(self):
+        # the longest benchmark CLI row: the total's working set is a few
+        # tens of kB; one big integer kept per free position (3,853 of
+        # them) would take over 5 MB
         inst = ProblemInstance.from_pairs(36, 3855, [((0, 1, 1), 1)])
         tracemalloc.start()
         try:
