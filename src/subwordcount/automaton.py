@@ -8,15 +8,18 @@ emit sets report every pattern occurrence exactly once.
 
 ``dp_count`` pushes word-count mass through the automaton instead of
 individual words, tracking per-pattern occurrence tallies capped one
-above the target so that all overshoot pools in a single bucket.  It
-agrees with brute-force enumeration on every instance small enough to
-check both ways, while scaling to word lengths enumeration cannot touch.
-All mass bookkeeping is exact integer arithmetic.
+above the target so that all overshoot pools in a single bucket.  Mass
+moves once per distinct successor state, weighted by how many symbols
+lead there, rather than once per symbol: on a wide alphabet most symbols
+fall back to the same state.  It agrees with brute-force enumeration on
+every instance small enough to check both ways, while scaling to word
+lengths enumeration cannot touch.  All mass bookkeeping is exact integer
+arithmetic.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,6 +39,9 @@ class MatchAutomaton:
         emits: emits[state] lists indices of patterns ending at the state,
             including those reached through suffix links.
         pattern_count: number of patterns the automaton was built from.
+        successors: successors[state] lists (next state, symbol count)
+            pairs, one per distinct next state in goto[state]; the counts
+            sum to alphabet_size.
     """
 
     alphabet_size: int
@@ -43,6 +49,7 @@ class MatchAutomaton:
     fail: tuple[int, ...]
     emits: tuple[tuple[int, ...], ...]
     pattern_count: int
+    successors: tuple[tuple[tuple[int, int], ...], ...]
 
     @property
     def state_count(self) -> int:
@@ -104,6 +111,7 @@ def build_automaton(alphabet_size: int, patterns: Sequence) -> MatchAutomaton:
         fail=tuple(fail),
         emits=tuple(tuple(sorted(t)) for t in terminal),
         pattern_count=len(targets),
+        successors=tuple(tuple(Counter(row).items()) for row in goto),
     )
 
 
@@ -131,8 +139,7 @@ def advance_distribution(
     """
     successor: dict[tuple[int, tuple[int, ...]], int] = {}
     for (state, tallies), mass in distribution.items():
-        for symbol in range(automaton.alphabet_size):
-            nxt = automaton.goto[state][symbol]
+        for nxt, symbols in automaton.successors[state]:
             emitted = automaton.emits[nxt]
             if emitted:
                 bumped = list(tallies)
@@ -142,7 +149,7 @@ def advance_distribution(
                 key = (nxt, tuple(bumped))
             else:
                 key = (nxt, tallies)
-            successor[key] = successor.get(key, 0) + mass
+            successor[key] = successor.get(key, 0) + mass * symbols
     return successor
 
 
@@ -155,13 +162,15 @@ def dp_count(instance: ProblemInstance, step_budget: int = DEFAULT_STEP_BUDGET) 
     Tallies are capped one above each requirement: a word that overshoots
     can never recover, so everything past the requirement is pooled.
 
-    Raises BudgetExceededError when the sweep's move count, word_length *
-    state_count * alphabet_size * tally-domain size, exceeds ``step_budget``.
+    Raises BudgetExceededError when the sweep's predicted move count,
+    word_length * (distinct successors summed over states) * tally-domain
+    size, exceeds ``step_budget``.  It bounds the moves actually made,
+    since a state holds at most one key per point of the tally domain.
     """
     automaton = build_automaton(instance.alphabet_size, instance.patterns)
     required = list(instance.required_counts)
     caps = [x + 1 for x in required]
-    predicted_steps = instance.word_length * automaton.state_count * instance.alphabet_size
+    predicted_steps = instance.word_length * sum(map(len, automaton.successors))
     for cap in caps:
         predicted_steps *= cap + 1  # the tally domain
     if predicted_steps > step_budget:

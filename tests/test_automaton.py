@@ -1,5 +1,7 @@
+from collections import Counter
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subwordcount import (
@@ -8,6 +10,7 @@ from subwordcount import (
     advance_distribution,
     build_automaton,
     count_matches,
+    count_multi,
     count_occurrences,
     dp_count,
     enumerate_count,
@@ -19,6 +22,21 @@ def walk(automaton, word, start=0):
     for symbol in word:
         state = automaton.goto[state][symbol]
     return state
+
+
+def patterns_over(q, max_size):
+    """Distinct patterns of length 1-3 drawn from the whole alphabet."""
+    pattern = st.lists(st.integers(0, q - 1), min_size=1, max_size=3).map(tuple)
+    return st.lists(pattern, min_size=1, max_size=max_size, unique=True)
+
+
+def predicted_moves(instance):
+    """The move bound dp_count checks against its step budget."""
+    auto = build_automaton(instance.alphabet_size, instance.patterns)
+    predicted = instance.word_length * sum(len(moves) for moves in auto.successors)
+    for x in instance.required_counts:
+        predicted *= x + 2  # tallies run 0..x+1
+    return predicted
 
 
 class TestBuildAutomaton:
@@ -68,6 +86,19 @@ class TestBuildAutomaton:
                 )
             )
             assert auto.emits[state] == expected, prefix
+
+    @given(st.integers(1, 6).flatmap(lambda q: st.tuples(st.just(q), patterns_over(q, 3))))
+    @example((2, [(0, 0), (0, 0, 0)]))  # self-intersecting, one a prefix of the other
+    @example((3, [(0, 1, 0), (1, 0), (2,)]))  # overlapping pairs
+    @example((1, [(0,)]))
+    @settings(max_examples=80, deadline=None)
+    def test_successors_group_each_goto_row(self, q_patterns):
+        q, patterns = q_patterns
+        auto = build_automaton(q, patterns)
+        assert len(auto.successors) == auto.state_count
+        for state, row in enumerate(auto.goto):
+            assert dict(auto.successors[state]) == Counter(row)
+            assert sum(symbols for _, symbols in auto.successors[state]) == q
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -143,12 +174,60 @@ class TestDpCount:
             dp_count(inst, step_budget=100)
 
     def test_budget_counts_every_symbol_the_sweep_tries(self):
-        # t * states * domain = 10 * 4 * 3 = 120; the sweep tries q = 4
-        # symbols from each, 480 moves in all
+        # the four states have 2, 3, 3 and 2 distinct successors, so
+        # t * successors * domain = 10 * 10 * 3 = 300 moves at most
         inst = ProblemInstance.from_pairs(4, 10, [((0, 1, 2), 1)])
         with pytest.raises(BudgetExceededError):
             dp_count(inst, step_budget=200)
         assert dp_count(inst, step_budget=480) == enumerate_count(inst)
+
+    def test_budget_is_exact_at_the_boundary(self):
+        inst = ProblemInstance.from_pairs(5, 7, [((0, 1, 0), 1), ((1, 1), 2)])
+        predicted = predicted_moves(inst)
+        assert dp_count(inst, step_budget=predicted) == enumerate_count(inst)
+        with pytest.raises(BudgetExceededError):
+            dp_count(inst, step_budget=predicted - 1)
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            ProblemInstance.from_pairs(4, 10, [((0, 1, 2), 1)]),
+            ProblemInstance.from_pairs(2, 12, [((0, 0), 3), ((0, 1, 0), 1)]),
+            ProblemInstance.from_pairs(36, 40, [((0, 1, 2), 1), ((3, 4, 5), 0), ((6, 7, 8), 1)]),
+        ],
+    )
+    def test_budget_bounds_the_moves_the_sweep_makes(self, inst):
+        auto = build_automaton(inst.alphabet_size, inst.patterns)
+        caps = [x + 1 for x in inst.required_counts]
+        distribution = {(0, tuple(0 for _ in caps)): 1}
+        moves = 0
+        for _ in range(inst.word_length):
+            moves += sum(len(auto.successors[state]) for state, _ in distribution)
+            distribution = advance_distribution(auto, distribution, caps)
+        assert 0 < moves <= predicted_moves(inst)
+
+    @given(
+        st.integers(2, 5).flatmap(lambda q: st.tuples(st.just(q), patterns_over(q, 2))),
+        st.integers(0, 6),
+        st.lists(st.integers(0, 2), min_size=2, max_size=2),
+    )
+    @example((3, [(0, 1), (1, 0)]), 6, [1, 1])  # overlapping pair
+    @example((4, [(2, 2), (2, 3, 2)]), 6, [2, 1])  # both self-intersecting, overlapping
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_enumeration_over_the_whole_alphabet(self, q_patterns, t, counts):
+        q, patterns = q_patterns
+        inst = ProblemInstance.from_pairs(q, t, list(zip(patterns, counts)))
+        assert dp_count(inst) == enumerate_count(inst)
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            ProblemInstance.from_pairs(36, 180, [((0, 1, 2), 2), ((3, 4, 5), 1)]),
+            ProblemInstance.from_pairs(26, 150, [((0, 1, 2), 1), ((3, 4, 5), 0), ((6, 7, 8), 1)]),
+        ],
+    )
+    def test_agrees_with_closed_form_on_long_wide_alphabet_words(self, inst):
+        assert dp_count(inst) == count_multi(inst).total
 
     @given(
         st.integers(2, 3),
