@@ -32,8 +32,9 @@ print(f"enumeration: {brute}  ({brute_time * 1000:.1f} ms)")
 print(f"automaton:   {clever}  ({clever_time * 1000:.1f} ms)")
 print()
 
-# The automaton itself is a small reusable object: dense transitions,
-# suffix links, and emit sets.  Scanning a word gives per-pattern counts.
+# The automaton itself is a small reusable object: one state per pattern
+# prefix, dense transitions, and emit sets.  Scanning a word gives
+# per-pattern counts.
 auto = build_automaton(3, [(0, 1), (2, 1)])
 word = (0, 1, 2, 1, 0, 1, 2, 1, 1)
 print(f"automaton has {auto.state_count} states")

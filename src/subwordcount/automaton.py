@@ -1,10 +1,13 @@
 """Multi-pattern matching automaton and a counting oracle built on it.
 
-The automaton is the classic trie-with-fallback construction: one state
-per distinct pattern prefix, a dense transition table, and suffix links
-computed breadth first.  Running a word through it visits, at each
-position, the state for the longest pattern prefix ending there, and the
-emit sets report every pattern occurrence exactly once.
+The automaton has one state per distinct pattern prefix and a dense
+transition table: reading symbol c in the state of prefix w moves to the
+state of the longest suffix of w + c that is a pattern prefix.  So
+running a word through it visits, at each position, the state of the
+longest pattern prefix ending there, and a state emits every pattern
+that is a suffix of its prefix, which reports every pattern occurrence
+exactly once.  The table is filled shortest prefix first, each row from
+rows already filled, in time proportional to states times alphabet size.
 
 ``dp_count`` pushes word-count mass through the automaton instead of
 individual words, tracking per-pattern occurrence tallies capped one
@@ -19,11 +22,11 @@ arithmetic.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import BudgetExceededError, ProblemInstance
+from .core import BudgetExceededError, ProblemInstance, require_int
 
 DEFAULT_STEP_BUDGET = 10**9
 
@@ -32,12 +35,17 @@ DEFAULT_STEP_BUDGET = 10**9
 class MatchAutomaton:
     """Dense pattern-matching automaton over integer symbols.
 
+    States are the distinct pattern prefixes, numbered shortest first and,
+    among prefixes of one length, in the order of the first pattern that
+    has each, so the empty prefix is state 0.
+
     Attributes:
         alphabet_size: number of symbols; transitions cover 0..alphabet_size-1.
-        goto: goto[state][symbol] is the next state, defined for every pair.
-        fail: fail[state] is the longest proper suffix state (0 for the root).
-        emits: emits[state] lists indices of patterns ending at the state,
-            including those reached through suffix links.
+        goto: goto[state][symbol] is the state of the longest suffix of
+            the state's prefix plus the symbol that is a pattern prefix,
+            defined for every pair.
+        emits: emits[state] lists, in increasing order, the indices of the
+            patterns that are suffixes of the state's prefix.
         pattern_count: number of patterns the automaton was built from.
         successors: successors[state] lists (next state, symbol count)
             pairs, one per distinct next state in goto[state]; the counts
@@ -46,7 +54,6 @@ class MatchAutomaton:
 
     alphabet_size: int
     goto: tuple[tuple[int, ...], ...]
-    fail: tuple[int, ...]
     emits: tuple[tuple[int, ...], ...]
     pattern_count: int
     successors: tuple[tuple[tuple[int, int], ...], ...]
@@ -62,8 +69,7 @@ def build_automaton(alphabet_size: int, patterns: Sequence) -> MatchAutomaton:
     Accepts Pattern objects or raw symbol sequences.  Patterns must be
     nonempty and use symbols below alphabet_size.
     """
-    if alphabet_size < 1:
-        raise ValueError("alphabet_size must be >= 1")
+    require_int("alphabet_size", alphabet_size, 1)
     targets = [tuple(getattr(p, "symbols", p)) for p in patterns]
     for target in targets:
         if not target:
@@ -71,45 +77,44 @@ def build_automaton(alphabet_size: int, patterns: Sequence) -> MatchAutomaton:
         if any(not (0 <= s < alphabet_size) for s in target):
             raise ValueError(f"pattern {target!r} uses symbols outside the alphabet")
 
-    # Trie construction; state 0 is the empty prefix.
+    # Trie over the patterns, read one depth at a time, so a prefix's
+    # state number is below those of all longer prefixes.
     children: list[dict[int, int]] = [{}]
-    terminal: list[set[int]] = [set()]
-    for index, target in enumerate(targets):
-        state = 0
-        for symbol in target:
-            nxt = children[state].get(symbol)
-            if nxt is None:
-                nxt = len(children)
-                children[state][symbol] = nxt
+    reached = [0] * len(targets)  # state of each pattern's prefix read so far
+    unread = list(range(len(targets)))  # patterns longer than depth
+    depth = 0
+    while unread:
+        for index in unread:
+            below = children[reached[index]]
+            symbol = targets[index][depth]
+            if symbol not in below:
+                below[symbol] = len(children)
                 children.append({})
-                terminal.append(set())
-            state = nxt
-        terminal[state].add(index)
+            reached[index] = below[symbol]
+        depth += 1
+        unread = [i for i in unread if len(targets[i]) > depth]
+    ends: list[list[int]] = [[] for _ in children]  # patterns equal to each prefix
+    for index, state in enumerate(reached):
+        ends[state].append(index)
 
-    # Breadth-first suffix links, densified transitions, emit closure.
-    state_total = len(children)
-    fail = [0] * state_total
-    goto = [[0] * alphabet_size for _ in range(state_total)]
-    for symbol, child in children[0].items():
-        goto[0][symbol] = child
-    queue = deque(children[0].values())
-    while queue:
-        state = queue.popleft()
-        terminal[state] |= terminal[fail[state]]
-        for symbol in range(alphabet_size):
-            child = children[state].get(symbol)
-            if child is None:
-                goto[state][symbol] = goto[fail[state]][symbol]
-            else:
-                fail[child] = goto[fail[state]][symbol]
-                goto[state][symbol] = child
-                queue.append(child)
-
+    # within[w] is the state of the longest proper suffix of prefix w that
+    # is a pattern prefix.  Reading c in w leads to w + c when that is a
+    # prefix and otherwise where c leads from within[w]; and within[w + c]
+    # is where c leads from within[w], or the root when w is empty.  Both
+    # look up only shorter prefixes, whose rows come first.
+    within = [0] * len(children)
+    goto: list[tuple[int, ...]] = []
+    emits: list[tuple[int, ...]] = []
+    for state, below in enumerate(children):
+        fallback = goto[within[state]] if state else (0,) * alphabet_size
+        goto.append(tuple(below.get(c, fallback[c]) for c in range(alphabet_size)))
+        emits.append(tuple(sorted(ends[state] + list(emits[within[state]] if state else ()))))
+        for symbol, child in below.items():
+            within[child] = fallback[symbol]
     return MatchAutomaton(
         alphabet_size=alphabet_size,
-        goto=tuple(tuple(row) for row in goto),
-        fail=tuple(fail),
-        emits=tuple(tuple(sorted(t)) for t in terminal),
+        goto=tuple(goto),
+        emits=tuple(emits),
         pattern_count=len(targets),
         successors=tuple(tuple(Counter(row).items()) for row in goto),
     )

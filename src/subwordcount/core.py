@@ -164,9 +164,11 @@ class CountBreakdown:
     lexicographic order; the total is their exact integer sum.  A
     breakdown built by ``deferred`` takes its total from a faster engine
     and computes ``terms`` on first read, checks their sum against the
-    total and caches them.  Instances are immutable; two threads reading
-    ``terms`` of a deferred breakdown at once may both compute it, to the
-    same value.
+    total and caches them.  Hashing and ``repr`` see the total only, and
+    equality compares totals before terms, so none of them computes a
+    deferred breakdown's terms unless two totals are equal.  Instances
+    are immutable; two threads reading ``terms`` of a deferred breakdown
+    at once may both compute it, to the same value.
     """
 
     def __init__(self, total: int, terms: Iterable[tuple[tuple[int, ...], int]]):
@@ -217,13 +219,14 @@ class CountBreakdown:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.total, self.terms) == (other.total, other.terms)
+        # totals first: unequal totals settle it without reading terms
+        return self.total == other.total and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.total, self.terms))
+        return hash(self.total)  # equal breakdowns have equal totals
 
     def __repr__(self):
-        return f"CountBreakdown(total={self.total!r}, terms={self.terms!r})"
+        return f"CountBreakdown(total={self.total!r})"
 
 
 def _term_tuple(terms) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -241,7 +244,10 @@ class ValidationReport:
 
     per_pattern_self_intersection: tuple[bool, ...]
     cross_overlap_pairs: tuple[tuple[int, int], ...]
-    is_formula_applicable: bool
+
+    @property
+    def is_formula_applicable(self) -> bool:
+        return not any(self.per_pattern_self_intersection) and not self.cross_overlap_pairs
 
 
 def validate_instance(instance: ProblemInstance) -> ValidationReport:
@@ -261,5 +267,4 @@ def validate_instance(instance: ProblemInstance) -> ValidationReport:
         for j in range(i + 1, len(pats)):
             if overlap.can_overlap(pats[i], pats[j]):
                 pairs.append((i, j))
-    applicable = not any(self_flags) and not pairs
-    return ValidationReport(self_flags, tuple(pairs), applicable)
+    return ValidationReport(self_flags, tuple(pairs))

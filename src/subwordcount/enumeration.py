@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from .core import BudgetExceededError, ProblemInstance
+from .core import BudgetExceededError, ProblemInstance, require_int
 
 DEFAULT_GUARD = 10**8
 
@@ -80,10 +80,8 @@ def occurrence_profile_counts(
     Each entry equals ``enumerate_count`` for the corresponding instance;
     computing them in one sweep just shares the enumeration.
     """
-    if alphabet_size < 2:
-        raise ValueError("alphabet_size must be >= 2")
-    if word_length < 0:
-        raise ValueError("word_length must be >= 0")
+    require_int("alphabet_size", alphabet_size, 2)
+    require_int("word_length", word_length, 0)
     _check_guard(alphabet_size, word_length, guard)
     targets = [tuple(getattr(p, "symbols", p)) for p in patterns]
     histogram: dict[tuple[int, ...], int] = {}

@@ -6,6 +6,11 @@ patterns that can share a word position breaks the occupancy bookkeeping
 the closed-form counts rely on.  The checks here are the gatekeepers for
 formula applicability.
 
+Borders come from one failure-function pass, linear in the pattern
+length.  Two patterns overlap when some relative placement agrees on
+every position they share, and ``can_overlap`` tries each placement, so
+it compares at most len(first) * len(second) symbol pairs.
+
 All functions accept either a ``core.Pattern`` or any plain sequence whose
 elements compare by equality, so tests can use strings directly.
 """
@@ -69,31 +74,18 @@ def is_self_intersecting(pattern) -> bool:
 def can_overlap(first, second) -> bool:
     """True when occurrences of the two patterns can share a word position.
 
-    That happens exactly when one pattern is a contiguous subword of the
-    other, or a nonempty proper suffix of either equals a prefix of the
-    other.  Symmetric in its arguments.  A pattern trivially overlaps
-    itself by containment.
+    Placing ``second`` at shift s against ``first`` shares the positions
+    lo..hi-1 of ``first``, lo = max(0, s) and hi = min(len(first),
+    s + len(second)); every s from 1 - len(second) to len(first) - 1
+    shares at least one.  The two overlap when some shift agrees on all
+    the positions it shares.  That covers one pattern containing the
+    other and a proper suffix of either equalling a prefix of the other.
+    Symmetric in its arguments.  A pattern overlaps itself at shift 0.
     """
     a = _symbols(first)
     b = _symbols(second)
-    return (
-        _contains(a, b)
-        or _contains(b, a)
-        or _suffix_matches_prefix(a, b)
-        or _suffix_matches_prefix(b, a)
-    )
-
-
-def _contains(haystack: tuple, needle: tuple) -> bool:
-    if len(needle) > len(haystack):
-        return False
-    span = len(needle)
-    return any(haystack[i : i + span] == needle for i in range(len(haystack) - span + 1))
-
-
-def _suffix_matches_prefix(a: tuple, b: tuple) -> bool:
-    # proper suffixes of a only; whole-pattern matches are containment's job
-    for k in range(1, min(len(a) - 1, len(b)) + 1):
-        if a[-k:] == b[:k]:
+    for shift in range(1 - len(b), len(a)):
+        lo, hi = max(0, shift), min(len(a), shift + len(b))
+        if a[lo:hi] == b[lo - shift : hi - shift]:
             return True
     return False

@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 
 import pytest
@@ -28,6 +29,26 @@ def patterns_over(q, max_size):
     """Distinct patterns of length 1-3 drawn from the whole alphabet."""
     pattern = st.lists(st.integers(0, q - 1), min_size=1, max_size=3).map(tuple)
     return st.lists(pattern, min_size=1, max_size=max_size, unique=True)
+
+
+def ends_with(word, tail):
+    return len(tail) <= len(word) and word[len(word) - len(tail) :] == tail
+
+
+def pattern_sets_with_words(max_q):
+    """(q, patterns, word) with the word glued from patterns and single
+    symbols, so that it holds pattern occurrences, overlapping ones
+    included."""
+
+    def with_word(q_patterns):
+        q, patterns = q_patterns
+        piece = st.sampled_from(patterns + [(s,) for s in range(q)])
+        word = st.lists(piece, max_size=6).map(lambda pieces: sum(pieces, ()))
+        return st.tuples(st.just(q), st.just(patterns), word)
+
+    return st.integers(1, max_q).flatmap(
+        lambda q: st.tuples(st.just(q), patterns_over(q, 3))
+    ).flatmap(with_word)
 
 
 def predicted_moves(instance):
@@ -99,6 +120,29 @@ class TestBuildAutomaton:
         for state, row in enumerate(auto.goto):
             assert dict(auto.successors[state]) == Counter(row)
             assert sum(symbols for _, symbols in auto.successors[state]) == q
+
+    @given(pattern_sets_with_words(4))
+    @example((2, [(0, 0), (0, 0, 0)], (0, 0, 0, 0, 1, 0, 0)))  # bordered, one a prefix of the other
+    @example((3, [(0, 1, 0), (1, 0), (2,)], (0, 1, 0, 1, 0, 2, 1, 0)))  # overlapping pairs
+    @example((2, [(0, 1, 1), (1, 1, 0)], (0, 1, 1, 0, 1, 1)))
+    @settings(max_examples=80, deadline=None)
+    def test_state_is_the_longest_suffix_that_is_a_pattern_prefix(self, q_patterns_word):
+        q, patterns, word = q_patterns_word
+        auto = build_automaton(q, patterns)
+        prefixes = {(): None}  # distinct pattern prefixes, in first-seen order
+        for p in patterns:
+            for k in range(1, len(p) + 1):
+                prefixes.setdefault(p[:k])
+        # numbered shortest first, ties in first-seen order
+        state_of = {w: i for i, w in enumerate(sorted(prefixes, key=len))}
+        assert auto.state_count == len(state_of)
+        for end in range(len(word) + 1):
+            read = word[:end]
+            longest = max((w for w in state_of if ends_with(read, w)), key=len)
+            state = walk(auto, read)
+            assert state == state_of[longest], read
+            ending = tuple(i for i, p in enumerate(patterns) if ends_with(read, p))
+            assert auto.emits[state] == ending, read
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -205,6 +249,16 @@ class TestDpCount:
             moves += sum(len(auto.successors[state]) for state, _ in distribution)
             distribution = advance_distribution(auto, distribution, caps)
         assert 0 < moves <= predicted_moves(inst)
+
+    def test_long_pattern_over_budget_is_refused_quickly(self):
+        # the automaton costs states * alphabet size to build, so the
+        # budget check that follows it comes after little work
+        pattern = tuple(1 + i % 35 for i in range(3000))
+        inst = ProblemInstance.from_pairs(36, 10**6, [(pattern, 1)])
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError):
+            dp_count(inst)
+        assert time.perf_counter() - start < 5
 
     @given(
         st.integers(2, 5).flatmap(lambda q: st.tuples(st.just(q), patterns_over(q, 2))),

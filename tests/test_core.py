@@ -6,7 +6,10 @@ from subwordcount import (
     Pattern,
     PatternSpec,
     ProblemInstance,
+    ValidationReport,
+    build_automaton,
     count_single,
+    occurrence_profile_counts,
     validate_instance,
 )
 
@@ -24,6 +27,18 @@ INTEGER_FIELDS = {
         ("required_count",),
     ),
     "count_single": (lambda **kw: count_single(**{**SINGLE_ARGS, **kw}), tuple(SINGLE_ARGS)),
+    # the oracle entry points that take raw ints; a one-symbol pattern so
+    # that True, read as 1, would otherwise pass as a valid size
+    "occurrence_profile_counts": (
+        lambda alphabet_size=2, word_length=3: occurrence_profile_counts(
+            alphabet_size, word_length, [(0,)]
+        ),
+        ("alphabet_size", "word_length"),
+    ),
+    "build_automaton": (
+        lambda alphabet_size=2: build_automaton(alphabet_size, [(0,)]),
+        ("alphabet_size",),
+    ),
 }
 
 
@@ -158,6 +173,22 @@ class TestCountBreakdown:
         assert calls == [1]
         assert b == CountBreakdown.from_terms([((2,), 12), ((3,), -2)])
 
+    def test_repr_hash_and_unequal_totals_leave_the_reference_unread(self):
+        def reference():
+            raise AssertionError("the per-tuple reference must not run")
+
+        b = CountBreakdown.deferred(10, reference)
+        assert repr(b) == "CountBreakdown(total=10)"
+        assert hash(b) == hash(CountBreakdown.from_terms([((0,), 10)]))
+        assert b != CountBreakdown.deferred(11, reference)
+        assert b != CountBreakdown.from_terms([((0,), 11)])
+
+    def test_equal_totals_still_compare_terms(self):
+        a = CountBreakdown.from_terms([((0,), 10)])
+        b = CountBreakdown.from_terms([((1,), 10)])
+        assert a != b
+        assert hash(a) == hash(b)
+
     def test_deferred_negative_total_rejected(self):
         with pytest.raises(ValueError):
             CountBreakdown.deferred(-1, lambda: [((0,), -1)])
@@ -189,6 +220,13 @@ class TestValidateInstance:
         report = validate_instance(inst)
         assert not report.is_formula_applicable
         assert report.cross_overlap_pairs == ((0, 1),)
+
+    def test_applicability_is_derived_from_the_findings(self):
+        assert ValidationReport((False, False), ()).is_formula_applicable
+        assert not ValidationReport((True, False), ()).is_formula_applicable
+        assert not ValidationReport((False, False), ((0, 1),)).is_formula_applicable
+        with pytest.raises(TypeError):
+            ValidationReport((True,), (), True)  # no stored flag to contradict them
 
     def test_error_carries_report(self):
         inst = ProblemInstance.from_pairs(2, 6, [((0, 0), 1)])

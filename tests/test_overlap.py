@@ -1,7 +1,8 @@
 import itertools
+import time
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from subwordcount import Pattern, border_profile, can_overlap, is_self_intersecting
@@ -14,20 +15,25 @@ def naive_border_lengths(seq):
     )
 
 
+def agrees_at_shift(a, b, shift):
+    """Whether b, placed ``shift`` positions after the start of a, matches
+    a symbol by symbol on every position the two share."""
+    lo = max(0, shift)
+    hi = min(len(a), shift + len(b))
+    return all(a[i] == b[i - shift] for i in range(lo, hi))
+
+
 def shift_witness_overlap(a, b):
     """Overlap oracle: try every relative placement of the two patterns
     and test whether they agree on the shared positions.  A shift where
     they agree yields a word containing both with a common position."""
     a, b = tuple(a), tuple(b)
-    for shift in range(-(len(b) - 1), len(a)):
-        lo = max(0, shift)
-        hi = min(len(a), shift + len(b))
-        if all(a[i] == b[i - shift] for i in range(lo, hi)):
-            return True
-    return False
+    return any(agrees_at_shift(a, b, shift) for shift in range(-(len(b) - 1), len(a)))
 
 
 patterns = st.lists(st.integers(0, 4), min_size=1, max_size=6).map(tuple)
+# over two symbols long borders are common
+binary_patterns = st.lists(st.integers(0, 1), min_size=1, max_size=8).map(tuple)
 
 
 class TestBorderProfile:
@@ -50,9 +56,32 @@ class TestBorderProfile:
         with pytest.raises(ValueError):
             border_profile(())
 
+    def test_long_patterns_take_one_linear_pass(self):
+        # comparing the prefix and suffix slices of every length would
+        # copy billions of symbols here
+        borderless = (0,) + (1,) * 99_999
+        periodic = (0, 1) * 50_000
+        start = time.perf_counter()
+        assert border_profile(borderless).border_lengths == frozenset()
+        assert not is_self_intersecting(borderless)
+        assert border_profile(periodic).border_lengths == frozenset(range(2, 100_000, 2))
+        assert time.perf_counter() - start < 5
+
     @given(patterns)
     def test_matches_naive_slice_scan(self, pattern):
         assert border_profile(pattern).border_lengths == naive_border_lengths(pattern)
+
+    @given(st.one_of(patterns, binary_patterns))
+    @example((0, 1, 0, 1, 0))
+    @example((0, 0, 0, 0))
+    @example((1, 0, 1, 1, 0, 1))
+    def test_borders_are_the_shifts_where_a_pattern_meets_itself(self, pattern):
+        # n - s is a border exactly when the pattern agrees with itself
+        # shifted by s, for every nonzero shift s that still overlaps
+        n = len(pattern)
+        borders = border_profile(pattern).border_lengths
+        for shift in range(1, n):
+            assert (n - shift in borders) == agrees_at_shift(pattern, pattern, shift), shift
 
 
 class TestSelfIntersection:
