@@ -12,10 +12,12 @@ checks that, and the oracles do not care.
 from .automaton import (
     DEFAULT_STEP_BUDGET,
     MatchAutomaton,
+    TallyGraph,
     advance_distribution,
     build_automaton,
     count_matches,
     dp_count,
+    tally_graph,
 )
 from .closed_form import count_multi, count_single, iter_copy_counts
 from .combinatorics import (
@@ -56,6 +58,7 @@ __all__ = [
     "Pattern",
     "PatternSpec",
     "ProblemInstance",
+    "TallyGraph",
     "ValidationReport",
     "advance_distribution",
     "alternating_binomial_sum",
@@ -75,6 +78,7 @@ __all__ = [
     "multichoose",
     "multinomial",
     "occurrence_profile_counts",
+    "tally_graph",
     "validate_instance",
     "__version__",
 ]

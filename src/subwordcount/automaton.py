@@ -10,11 +10,14 @@ exactly once.  The table is filled shortest prefix first, each row from
 rows already filled, in time proportional to states times alphabet size.
 
 ``dp_count`` pushes word-count mass through the automaton instead of
-individual words, tracking per-pattern occurrence tallies capped one
-above the target so that all overshoot pools in a single bucket.  Mass
-moves once per distinct successor state, weighted by how many symbols
-lead there, rather than once per symbol: on a wide alphabet most symbols
-fall back to the same state.  It agrees with brute-force enumeration on
+individual words.  It builds the tally graph once: the product of the
+automaton's states and the per-pattern occurrence tallies, with no node
+past a requirement, since a word that overshoots can never meet it and
+its mass is simply dropped.  Each edge groups the symbols that lead from
+a state to one successor state, so on a wide alphabet, where most
+symbols fall back to the same state, mass moves once per successor
+rather than once per symbol.  The graph is then swept word_length times
+over a plain list of masses.  It agrees with brute-force enumeration on
 every instance small enough to check both ways, while scaling to word
 lengths enumeration cannot touch.  All mass bookkeeping is exact integer
 arithmetic.
@@ -131,31 +134,85 @@ def count_matches(automaton: MatchAutomaton, word: Sequence[int]) -> tuple[int, 
     return tuple(counts)
 
 
-def advance_distribution(
-    automaton: MatchAutomaton,
-    distribution: dict[tuple[int, tuple[int, ...]], int],
-    caps: Sequence[int],
-) -> dict[tuple[int, tuple[int, ...]], int]:
+@dataclass(frozen=True)
+class TallyGraph:
+    """The product of a matching automaton and per-pattern occurrence
+    tallies, limited to tallies within the requirements.
+
+    Attributes:
+        alphabet_size: number of symbols of the automaton it was built from.
+        nodes: the (state, tallies) pairs reachable from (0, zeros) within
+            the build depth without any tally passing its requirement,
+            numbered in breadth-first discovery order, so node 0 is the start.
+        edges: edges[node] lists (next node, symbol count) pairs, one per
+            entry of the automaton's successors of the node's state whose
+            emitted patterns keep every tally within its requirement.
+            Nodes first reached at the build depth have no edges.
+    """
+
+    alphabet_size: int
+    nodes: tuple[tuple[int, tuple[int, ...]], ...]
+    edges: tuple[tuple[tuple[int, int], ...], ...]
+
+
+def tally_graph(automaton: MatchAutomaton, required: Sequence[int], depth: int) -> TallyGraph:
+    """Build the tally graph of ``automaton`` for the required occurrence
+    counts, expanding breadth-first from (0, zeros) ``depth`` times.
+
+    A move that would take a tally past its requirement gets no edge: a
+    word that overshoots can never meet the requirement again.  The graph
+    has at most state_count * prod(x + 1) nodes, each with at most as many
+    edges as its state has distinct successors.  ``required`` holds one
+    count per pattern of the automaton.
+    """
+    required = tuple(required)
+    if len(required) != automaton.pattern_count:
+        raise ValueError("required must hold one count per pattern")
+    for x in required:
+        require_int("required count", x, 0)
+    start = (0, (0,) * len(required))
+    nodes = [start]
+    number = {start: 0}
+    edges: list[tuple[tuple[int, int], ...]] = []
+    for _ in range(depth):
+        layer = nodes[len(edges) :]  # not yet expanded: all first reached at this depth
+        if not layer:
+            break
+        for state, tallies in layer:
+            out = []
+            for nxt, symbols in automaton.successors[state]:
+                emitted = automaton.emits[nxt]
+                if emitted:
+                    if any(tallies[p] == required[p] for p in emitted):
+                        continue  # overshoots a requirement
+                    bumped = list(tallies)
+                    for p in emitted:
+                        bumped[p] += 1
+                    key = (nxt, tuple(bumped))
+                else:
+                    key = (nxt, tallies)
+                target = number.setdefault(key, len(nodes))
+                if target == len(nodes):
+                    nodes.append(key)
+                out.append((target, symbols))
+            edges.append(tuple(out))
+    edges.extend(() for _ in range(len(nodes) - len(edges)))
+    return TallyGraph(automaton.alphabet_size, tuple(nodes), tuple(edges))
+
+
+def advance_distribution(graph: TallyGraph, masses: Sequence[int]) -> list[int]:
     """Extend every tracked word by one symbol.
 
-    Keys are (state, tallies) pairs; values are how many words of the
-    current length land there.  Tallies saturate at caps, so each step
-    multiplies the total mass by exactly alphabet_size.
+    ``masses[node]`` is how many words of the current length end on that
+    graph node; the result holds the same for words one symbol longer,
+    dropping every word that overshoots a requirement.
     """
-    successor: dict[tuple[int, tuple[int, ...]], int] = {}
-    for (state, tallies), mass in distribution.items():
-        for nxt, symbols in automaton.successors[state]:
-            emitted = automaton.emits[nxt]
-            if emitted:
-                bumped = list(tallies)
-                for index in emitted:
-                    if bumped[index] < caps[index]:
-                        bumped[index] += 1
-                key = (nxt, tuple(bumped))
-            else:
-                key = (nxt, tallies)
-            successor[key] = successor.get(key, 0) + mass * symbols
-    return successor
+    following = [0] * len(masses)
+    for mass, out in zip(masses, graph.edges):
+        if mass:
+            for target, symbols in out:
+                following[target] += mass * symbols
+    return following
 
 
 def dp_count(instance: ProblemInstance, step_budget: int = DEFAULT_STEP_BUDGET) -> int:
@@ -164,28 +221,28 @@ def dp_count(instance: ProblemInstance, step_budget: int = DEFAULT_STEP_BUDGET) 
 
     Like the brute-force oracle this accepts any pattern set; overlapping
     and self-intersecting patterns are handled by the automaton itself.
-    Tallies are capped one above each requirement: a word that overshoots
-    can never recover, so everything past the requirement is pooled.
+    The tally graph is built once and swept word_length times; mass that
+    would take a tally past its requirement is dropped, since such a word
+    can never meet it.
 
-    Raises BudgetExceededError when the sweep's predicted move count,
-    word_length * (distinct successors summed over states) * tally-domain
-    size, exceeds ``step_budget``.  It bounds the moves actually made,
-    since a state holds at most one key per point of the tally domain.
+    Raises BudgetExceededError, before building the graph, when the
+    predicted work, word_length * (distinct successors summed over states)
+    * prod(x + 1) over the required counts x, exceeds ``step_budget``.  It
+    bounds the edges the build makes and the moves every step makes, since
+    each state is in at most prod(x + 1) nodes, one per tally vector.
     """
     automaton = build_automaton(instance.alphabet_size, instance.patterns)
-    required = list(instance.required_counts)
-    caps = [x + 1 for x in required]
+    required = instance.required_counts
     predicted_steps = instance.word_length * sum(map(len, automaton.successors))
-    for cap in caps:
-        predicted_steps *= cap + 1  # the tally domain
+    for x in required:
+        predicted_steps *= x + 1  # the tally domain
     if predicted_steps > step_budget:
         raise BudgetExceededError(
             f"distribution sweep needs about {predicted_steps} steps, "
             f"over the budget of {step_budget}"
         )
-    start = (0, tuple(0 for _ in required))
-    distribution = {start: 1}
+    graph = tally_graph(automaton, required, instance.word_length)
+    masses = [1] + [0] * (len(graph.nodes) - 1)
     for _ in range(instance.word_length):
-        distribution = advance_distribution(automaton, distribution, caps)
-    goal = tuple(required)
-    return sum(mass for (_, tallies), mass in distribution.items() if tallies == goal)
+        masses = advance_distribution(graph, masses)
+    return sum(mass for mass, (_, tallies) in zip(masses, graph.nodes) if tallies == required)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import decimal
 import io
 import json
 import statistics
@@ -37,6 +36,7 @@ from .core import (
     NotApplicableError,
     ProblemInstance,
     ValidationReport,
+    decimal_string,
     validate_instance,
 )
 from .enumeration import DEFAULT_GUARD, enumerate_count
@@ -257,15 +257,9 @@ def _emit(text: str, path: str | None) -> None:
         raise DocumentError(f"cannot write {path}: {exc}") from exc
 
 
-def _decimal(n: int) -> str:
-    """Decimal digits of ``n`` at any size: ``str(int)`` refuses past the
-    interpreter's digit limit, ``Decimal`` converts exactly without it."""
-    return str(decimal.Decimal(n))
-
-
 def _cmd_count(args) -> int:
     breakdown = count_multi(_instance_from_args(args))
-    payload: dict = {"count": _decimal(breakdown.total), "method": "closed_form"}
+    payload: dict = {"count": decimal_string(breakdown.total), "method": "closed_form"}
     if args.breakdown:
         try:
             terms = breakdown.terms  # the per-tuple reference, checked against the total
@@ -273,7 +267,7 @@ def _cmd_count(args) -> int:
             print(f"closed-form engines disagree: {exc}", file=sys.stderr)
             return EXIT_DISAGREE
         payload["terms"] = [
-            {"indices": list(indices), "value": _decimal(value)} for indices, value in terms
+            {"indices": list(indices), "value": decimal_string(value)} for indices, value in terms
         ]
     _emit(json.dumps(payload, indent=2), args.output)
     return EXIT_OK
@@ -290,7 +284,7 @@ def _cmd_verify(args) -> int:
             return EXIT_REFUSED
     agree = len(set(values.values())) == 1
     payload = {
-        "values": {name: _decimal(value) for name, value in values.items()},
+        "values": {name: decimal_string(value) for name, value in values.items()},
         "agree": agree,
     }
     _emit(json.dumps(payload, indent=2), args.output)
@@ -337,11 +331,11 @@ def _cmd_bench(args) -> int:
                     "pattern_lengths": list(instance.pattern_lengths),
                     "required_counts": list(instance.required_counts),
                     "wall_seconds": statistics.median(durations),
-                    "count_digits": len(_decimal(value)),
+                    "count_digits": len(decimal_string(value)),
                 }
             )
         if len(set(seen.values())) > 1:
-            detail = ", ".join(f"{m}={_decimal(v)}" for m, v in sorted(seen.items()))
+            detail = ", ".join(f"{m}={decimal_string(v)}" for m, v in sorted(seen.items()))
             print(f"methods disagree at t={t}: {detail}", file=sys.stderr)
             return EXIT_DISAGREE
 

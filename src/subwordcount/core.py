@@ -11,6 +11,7 @@ unrestricted concurrent use is safe.
 
 from __future__ import annotations
 
+import decimal
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -37,6 +38,12 @@ class NotApplicableError(ValueError):
             problems.append(f"overlapping pattern pairs {list(report.cross_overlap_pairs)}")
         super().__init__("closed form not applicable: " + "; ".join(problems))
         self.report = report
+
+
+def decimal_string(n: int) -> str:
+    """Decimal digits of ``n`` at any size: ``str(int)`` refuses past the
+    interpreter's digit limit, ``Decimal`` converts exactly without it."""
+    return str(decimal.Decimal(n))
 
 
 def require_int(name: str, value, minimum: int) -> None:
@@ -226,7 +233,7 @@ class CountBreakdown:
         return hash(self.total)  # equal breakdowns have equal totals
 
     def __repr__(self):
-        return f"CountBreakdown(total={self.total!r})"
+        return f"CountBreakdown(total={decimal_string(self.total)})"
 
 
 def _term_tuple(terms) -> tuple[tuple[tuple[int, ...], int], ...]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from .core import BudgetExceededError, ProblemInstance, require_int
+from .core import BudgetExceededError, ProblemInstance
 
 DEFAULT_GUARD = 10**8
 
@@ -78,12 +78,16 @@ def occurrence_profile_counts(
     pattern p occurs exactly c_p times for every p.  The profiles
     partition the word set, so the values sum to alphabet_size ** word_length.
     Each entry equals ``enumerate_count`` for the corresponding instance;
-    computing them in one sweep just shares the enumeration.
+    computing them in one sweep just shares the enumeration.  Sizes and
+    patterns are checked as ``ProblemInstance`` checks them, so an empty
+    pattern list, an empty pattern, a symbol outside the alphabet or a
+    repeated pattern raises ValueError.
     """
-    require_int("alphabet_size", alphabet_size, 2)
-    require_int("word_length", word_length, 0)
+    instance = ProblemInstance.from_pairs(
+        alphabet_size, word_length, [(getattr(p, "symbols", p), 0) for p in patterns]
+    )
     _check_guard(alphabet_size, word_length, guard)
-    targets = [tuple(getattr(p, "symbols", p)) for p in patterns]
+    targets = [pattern.symbols for pattern in instance.patterns]
     histogram: dict[tuple[int, ...], int] = {}
     for word in itertools.product(range(alphabet_size), repeat=word_length):
         profile = tuple(count_occurrences(word, target) for target in targets)

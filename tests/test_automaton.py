@@ -15,6 +15,8 @@ from subwordcount import (
     count_occurrences,
     dp_count,
     enumerate_count,
+    occurrence_profile_counts,
+    tally_graph,
 )
 
 
@@ -56,8 +58,19 @@ def predicted_moves(instance):
     auto = build_automaton(instance.alphabet_size, instance.patterns)
     predicted = instance.word_length * sum(len(moves) for moves in auto.successors)
     for x in instance.required_counts:
-        predicted *= x + 2  # tallies run 0..x+1
+        predicted *= x + 1  # tallies run 0..x
     return predicted
+
+
+def sweep(automaton, required, t):
+    """The tally graph to depth t and the masses after each of its t steps."""
+    graph = tally_graph(automaton, required, t)
+    masses = [1] + [0] * (len(graph.nodes) - 1)
+    steps = [masses]
+    for _ in range(t):
+        masses = advance_distribution(graph, masses)
+        steps.append(masses)
+    return graph, steps
 
 
 class TestBuildAutomaton:
@@ -176,23 +189,80 @@ class TestCountMatches:
 
 class TestAdvanceDistribution:
     def test_mass_multiplies_by_alphabet_size(self):
-        auto = build_automaton(3, [(0, 1)])
-        caps = [2]
-        distribution = {(0, (0,)): 1}
-        total = 1
-        for _ in range(5):
-            distribution = advance_distribution(auto, distribution, caps)
-            total *= 3
-            assert sum(distribution.values()) == total
+        # no word of length <= 5 holds three copies of 01, so nothing is dropped
+        _, steps = sweep(build_automaton(3, [(0, 1)]), [2], 5)
+        for k, masses in enumerate(steps):
+            assert sum(masses) == 3**k
 
-    def test_tallies_saturate_at_cap(self):
-        auto = build_automaton(1, [(0,)])
-        distribution = {(0, (0,)): 1}
-        for _ in range(6):
-            distribution = advance_distribution(auto, distribution, [2])
-        ((state_tallies, mass),) = distribution.items()
-        assert state_tallies[1] == (2,)
-        assert mass == 1
+    def test_mass_past_a_requirement_is_dropped(self):
+        graph, steps = sweep(build_automaton(1, [(0,)]), [2], 3)
+        held = {graph.nodes[node][1]: mass for node, mass in enumerate(steps[2]) if mass}
+        assert held == {(2,): 1}
+        assert not any(steps[3])
+
+    @given(
+        st.integers(2, 4).flatmap(lambda q: st.tuples(st.just(q), patterns_over(q, 3))),
+        st.integers(0, 6),
+        st.lists(st.integers(0, 3), min_size=3, max_size=3),
+    )
+    @example((2, [(0, 0), (0, 0, 0)]), 6, [2, 1, 0])  # bordered, one a prefix of the other
+    @example((3, [(0, 1, 0), (1, 0), (2,)]), 6, [1, 2, 1])  # overlapping pairs
+    @example((2, [(0, 1), (1, 0)]), 6, [0, 0, 0])
+    @settings(max_examples=60, deadline=None)
+    def test_mass_counts_the_words_within_every_requirement(self, q_patterns, t, counts):
+        q, patterns = q_patterns
+        required = counts[: len(patterns)]
+        _, steps = sweep(build_automaton(q, patterns), required, t)
+        for n, masses in enumerate(steps):
+            within = sum(
+                words
+                for profile, words in occurrence_profile_counts(q, n, patterns).items()
+                if all(c <= x for c, x in zip(profile, required))
+            )
+            assert sum(masses) == within, n
+
+
+class TestTallyGraph:
+    @given(
+        st.integers(1, 5).flatmap(lambda q: st.tuples(st.just(q), patterns_over(q, 3))),
+        st.integers(0, 40),
+        st.lists(st.integers(0, 3), min_size=3, max_size=3),
+    )
+    @example((2, [(0, 0), (0, 0, 0)]), 40, [3, 2, 0])
+    @example((3, [(0, 1, 0), (1, 0), (2,)]), 40, [3, 3, 3])
+    @settings(max_examples=60, deadline=None)
+    def test_nodes_stay_within_the_requirements(self, q_patterns, depth, counts):
+        q, patterns = q_patterns
+        required = counts[: len(patterns)]
+        auto = build_automaton(q, patterns)
+        graph = tally_graph(auto, required, depth)
+        assert graph.alphabet_size == q
+        assert graph.nodes[0] == (0, (0,) * len(required))
+        assert len(graph.edges) == len(graph.nodes)
+        domain = 1
+        for x in required:
+            domain *= x + 1
+        assert len(graph.nodes) <= auto.state_count * domain
+        assert len(set(graph.nodes)) == len(graph.nodes)
+        for (state, tallies), out in zip(graph.nodes, graph.edges):
+            assert all(0 <= c <= x for c, x in zip(tallies, required))
+            assert len(out) <= len(auto.successors[state])
+            assert sum(symbols for _, symbols in out) <= q
+
+    def test_rejects_counts_that_do_not_fit_the_patterns(self):
+        auto = build_automaton(2, [(0, 1), (1, 1)])
+        for required in ([1], [1, 1, 1], [1, -1]):
+            with pytest.raises(ValueError):
+                tally_graph(auto, required, 3)
+
+    def test_short_words_with_large_counts_build_only_what_they_reach(self):
+        # expanding every node reachable without a depth limit builds
+        # 41^3 tally vectors per state here
+        inst = ProblemInstance.from_pairs(4, 5, [((0, 1), 40), ((1, 2), 40), ((2, 3), 40)])
+        start = time.perf_counter()
+        assert dp_count(inst) == 0
+        assert time.perf_counter() - start < 1
+        assert enumerate_count(inst) == 0
 
 
 class TestDpCount:
@@ -219,11 +289,11 @@ class TestDpCount:
 
     def test_budget_counts_every_symbol_the_sweep_tries(self):
         # the four states have 2, 3, 3 and 2 distinct successors, so
-        # t * successors * domain = 10 * 10 * 3 = 300 moves at most
+        # t * successors * domain = 10 * 10 * 2 = 200 moves at most
         inst = ProblemInstance.from_pairs(4, 10, [((0, 1, 2), 1)])
         with pytest.raises(BudgetExceededError):
-            dp_count(inst, step_budget=200)
-        assert dp_count(inst, step_budget=480) == enumerate_count(inst)
+            dp_count(inst, step_budget=199)
+        assert dp_count(inst, step_budget=200) == enumerate_count(inst)
 
     def test_budget_is_exact_at_the_boundary(self):
         inst = ProblemInstance.from_pairs(5, 7, [((0, 1, 0), 1), ((1, 1), 2)])
@@ -242,13 +312,15 @@ class TestDpCount:
     )
     def test_budget_bounds_the_moves_the_sweep_makes(self, inst):
         auto = build_automaton(inst.alphabet_size, inst.patterns)
-        caps = [x + 1 for x in inst.required_counts]
-        distribution = {(0, tuple(0 for _ in caps)): 1}
-        moves = 0
-        for _ in range(inst.word_length):
-            moves += sum(len(auto.successors[state]) for state, _ in distribution)
-            distribution = advance_distribution(auto, distribution, caps)
+        graph, steps = sweep(auto, inst.required_counts, inst.word_length)
+        moves = sum(
+            len(graph.edges[node])
+            for masses in steps[:-1]
+            for node, mass in enumerate(masses)
+            if mass
+        )
         assert 0 < moves <= predicted_moves(inst)
+        assert sum(map(len, graph.edges)) <= predicted_moves(inst)  # the build
 
     def test_long_pattern_over_budget_is_refused_quickly(self):
         # the automaton costs states * alphabet size to build, so the

@@ -1,3 +1,5 @@
+import decimal
+
 import pytest
 
 from subwordcount import (
@@ -182,6 +184,15 @@ class TestCountBreakdown:
         assert hash(b) == hash(CountBreakdown.from_terms([((0,), 10)]))
         assert b != CountBreakdown.deferred(11, reference)
         assert b != CountBreakdown.from_terms([((0,), 11)])
+
+    def test_repr_shows_totals_past_the_int_digit_limit(self):
+        b = count_single(36, 3000, 3, 2)
+        text = repr(b)
+        head = "CountBreakdown(total="
+        assert text.startswith(head) and text.endswith(")")
+        digits = text[len(head) : -1]
+        assert len(digits) > 4300
+        assert decimal.Decimal(digits) == b.total
 
     def test_equal_totals_still_compare_terms(self):
         a = CountBreakdown.from_terms([((0,), 10)])

@@ -102,6 +102,17 @@ class TestOccurrenceProfileCounts:
         with pytest.raises(ValueError):
             occurrence_profile_counts(2, -1, [(0,)])
 
+    @pytest.mark.parametrize(
+        "patterns",
+        [[(5,)], [(0, 2)], [(0,), (0,)], [()], [(0, -1)]],
+        ids=["outside-alphabet", "symbol-equal-to-q", "duplicate", "empty", "negative"],
+    )
+    def test_rejects_the_patterns_an_instance_rejects(self, patterns):
+        with pytest.raises(ValueError):
+            ProblemInstance.from_pairs(2, 3, [(p, 0) for p in patterns])
+        with pytest.raises(ValueError):
+            occurrence_profile_counts(2, 3, patterns)
+
     @given(
         st.integers(2, 3),
         st.integers(0, 7),
@@ -114,6 +125,7 @@ class TestOccurrenceProfileCounts:
     )
     @settings(max_examples=40, deadline=None)
     def test_partition_property(self, q, t, patterns):
-        patterns = [tuple(min(s, q - 1) for s in p) for p in patterns]
+        # clamping can make two patterns equal; keep one of each
+        patterns = list(dict.fromkeys(tuple(min(s, q - 1) for s in p) for p in patterns))
         hist = occurrence_profile_counts(q, t, patterns)
         assert sum(hist.values()) == q**t
