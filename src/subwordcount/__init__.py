@@ -23,7 +23,6 @@ from .closed_form import count_multi, count_single, iter_copy_counts
 from .combinatorics import (
     alternating_binomial_sum,
     binomial,
-    factorial,
     multichoose,
     multinomial,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "count_single",
     "dp_count",
     "enumerate_count",
-    "factorial",
     "is_self_intersecting",
     "iter_copy_counts",
     "multichoose",

@@ -10,17 +10,21 @@ exactly once.  The table is filled shortest prefix first, each row from
 rows already filled, in time proportional to states times alphabet size.
 
 ``dp_count`` pushes word-count mass through the automaton instead of
-individual words.  It builds the tally graph once: the product of the
-automaton's states and the per-pattern occurrence tallies, with no node
-past a requirement, since a word that overshoots can never meet it and
-its mass is simply dropped.  Each edge groups the symbols that lead from
-a state to one successor state, so on a wide alphabet, where most
+individual words.  Each state holds one int that packs the masses of all
+prod(x + 1) tally vectors within the requirements, one fixed-width slot
+per vector, the vectors read in mixed radix; a word that overshoots a
+requirement can never meet it, so it has no slot and its mass is
+dropped.  The moves are built once: each groups the symbols that lead
+from a state to one successor state, so on a wide alphabet, where most
 symbols fall back to the same state, mass moves once per successor
-rather than once per symbol.  The graph is then swept word_length times
-over a plain list of masses.  It agrees with brute-force enumeration on
-every instance small enough to check both ways, while scaling to word
-lengths enumeration cannot touch.  All mass bookkeeping is exact integer
-arithmetic.
+rather than once per symbol.  A move masks off the slots whose tallies
+its emitted patterns would take past a requirement and shifts the rest
+up by those patterns' strides, so one step is one big-int move per
+automaton edge, whatever the number of tally vectors.  The slots are
+wide enough for q ** word_length, so none carries into the next.  It
+agrees with brute-force enumeration on every instance small enough to
+check both ways, while scaling to word lengths enumeration cannot touch.
+All mass bookkeeping is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -136,82 +140,104 @@ def count_matches(automaton: MatchAutomaton, word: Sequence[int]) -> tuple[int, 
 
 @dataclass(frozen=True)
 class TallyGraph:
-    """The product of a matching automaton and per-pattern occurrence
-    tallies, limited to tallies within the requirements.
+    """The automaton's moves on packed occurrence tallies.
+
+    A state's mass is one int of ``slots`` fixed-width slots, one per
+    tally vector within the requirements.  Vector (c_0, ..., c_{d-1}) is
+    slot sum(c_p * stride_p), read in mixed radix with stride_p =
+    prod(x_r + 1 for r < p), and occupies bits slot * width up to
+    (slot + 1) * width, so the all-zero vector is slot 0 and the required
+    one is the top slot.
 
     Attributes:
         alphabet_size: number of symbols of the automaton it was built from.
-        nodes: the (state, tallies) pairs reachable from (0, zeros) within
-            the build depth without any tally passing its requirement,
-            numbered in breadth-first discovery order, so node 0 is the start.
-        edges: edges[node] lists (next node, symbol count) pairs, one per
-            entry of the automaton's successors of the node's state whose
-            emitted patterns keep every tally within its requirement.
-            Nodes first reached at the build depth have no edges.
+        slots: prod(x + 1) over the required counts x.
+        width: bits per slot: the whole bytes that hold q ** word_length,
+            the most a slot, or a slot times a symbol count before the
+            last step, can reach, so no slot carries into the next.
+        moves: moves[state] lists (next state, symbol count, keep mask,
+            shift) tuples, one per entry of the automaton's successors of
+            the state, except those that emit a pattern required 0 times.
+            The mask zeroes the slots where an emitted pattern already
+            meets its requirement, whose mass would overshoot, and the
+            shift, the emitted patterns' summed strides times the width,
+            takes every other slot to the one with each emitted tally one
+            higher.
     """
 
     alphabet_size: int
-    nodes: tuple[tuple[int, tuple[int, ...]], ...]
-    edges: tuple[tuple[tuple[int, int], ...], ...]
+    slots: int
+    width: int
+    moves: tuple[tuple[tuple[int, int, int, int], ...], ...]
 
 
-def tally_graph(automaton: MatchAutomaton, required: Sequence[int], depth: int) -> TallyGraph:
-    """Build the tally graph of ``automaton`` for the required occurrence
-    counts, expanding breadth-first from (0, zeros) ``depth`` times.
+def tally_graph(automaton: MatchAutomaton, required: Sequence[int], word_length: int) -> TallyGraph:
+    """Precompute the packed moves of ``automaton`` for the required
+    occurrence counts, with slots wide enough for words of ``word_length``.
 
-    A move that would take a tally past its requirement gets no edge: a
-    word that overshoots can never meet the requirement again.  The graph
-    has at most state_count * prod(x + 1) nodes, each with at most as many
-    edges as its state has distinct successors.  ``required`` holds one
-    count per pattern of the automaton.
+    Each pattern's keep mask repeats a block of bytes, so it costs time
+    linear in its size, and a move's mask is the AND of the masks of the
+    patterns it emits.  ``required`` holds one count per pattern of the
+    automaton.
     """
     required = tuple(required)
     if len(required) != automaton.pattern_count:
         raise ValueError("required must hold one count per pattern")
     for x in required:
         require_int("required count", x, 0)
-    start = (0, (0,) * len(required))
-    nodes = [start]
-    number = {start: 0}
-    edges: list[tuple[tuple[int, int], ...]] = []
-    for _ in range(depth):
-        layer = nodes[len(edges) :]  # not yet expanded: all first reached at this depth
-        if not layer:
-            break
-        for state, tallies in layer:
-            out = []
-            for nxt, symbols in automaton.successors[state]:
-                emitted = automaton.emits[nxt]
-                if emitted:
-                    if any(tallies[p] == required[p] for p in emitted):
-                        continue  # overshoots a requirement
-                    bumped = list(tallies)
-                    for p in emitted:
-                        bumped[p] += 1
-                    key = (nxt, tuple(bumped))
-                else:
-                    key = (nxt, tallies)
-                target = number.setdefault(key, len(nodes))
-                if target == len(nodes):
-                    nodes.append(key)
-                out.append((target, symbols))
-            edges.append(tuple(out))
-    edges.extend(() for _ in range(len(nodes) - len(edges)))
-    return TallyGraph(automaton.alphabet_size, tuple(nodes), tuple(edges))
+    require_int("word_length", word_length, 0)
+    # no slot, and no slot times a symbol count before the last step,
+    # exceeds q ** word_length, so whole bytes holding it never carry
+    slot_bytes = ((automaton.alphabet_size**word_length).bit_length() + 7) // 8
+    width = 8 * slot_bytes
+    strides = []
+    slots = 1
+    for x in required:
+        strides.append(slots)
+        slots *= x + 1
+    # pattern p's tally is below x_p on the first stride_p * x_p slots of
+    # every run of stride_p * (x_p + 1)
+    keeps = [
+        int.from_bytes(
+            (b"\xff" * (stride * x * slot_bytes) + bytes(stride * slot_bytes))
+            * (slots // (stride * (x + 1))),
+            "little",
+        )
+        for stride, x in zip(strides, required)
+    ]
+    packed = {}  # (mask, shift) by emitted patterns
+    moves = []
+    for row in automaton.successors:
+        out = []
+        for nxt, symbols in row:
+            emitted = automaton.emits[nxt]
+            if emitted not in packed:
+                mask = (1 << (slots * width)) - 1
+                for p in emitted:
+                    mask &= keeps[p]
+                packed[emitted] = mask, width * sum(strides[p] for p in emitted)
+            mask, shift = packed[emitted]
+            if mask:
+                out.append((nxt, symbols, mask, shift))
+        moves.append(tuple(out))
+    return TallyGraph(automaton.alphabet_size, slots, width, tuple(moves))
 
 
 def advance_distribution(graph: TallyGraph, masses: Sequence[int]) -> list[int]:
     """Extend every tracked word by one symbol.
 
-    ``masses[node]`` is how many words of the current length end on that
-    graph node; the result holds the same for words one symbol longer,
-    dropping every word that overshoots a requirement.
+    ``masses[state]`` packs, slot by slot, how many words of the current
+    length end in that state with each tally vector; the result holds the
+    same for words one symbol longer, dropping every word that overshoots
+    a requirement.
     """
     following = [0] * len(masses)
-    for mass, out in zip(masses, graph.edges):
+    for mass, out in zip(masses, graph.moves):
         if mass:
-            for target, symbols in out:
-                following[target] += mass * symbols
+            for nxt, symbols, mask, shift in out:
+                # shift 0: nothing emitted, and the mask keeps every slot
+                moved = (mass & mask) << shift if shift else mass
+                following[nxt] += moved * symbols if symbols > 1 else moved
     return following
 
 
@@ -221,19 +247,24 @@ def dp_count(instance: ProblemInstance, step_budget: int = DEFAULT_STEP_BUDGET) 
 
     Like the brute-force oracle this accepts any pattern set; overlapping
     and self-intersecting patterns are handled by the automaton itself.
-    The tally graph is built once and swept word_length times; mass that
-    would take a tally past its requirement is dropped, since such a word
-    can never meet it.
+    The packed moves are built once and swept word_length times, one
+    big-int move per automaton edge per step; mass that would take a
+    tally past its requirement is dropped, since such a word can never
+    meet it.  The count is the top slot, summed over the states.  A
+    requirement past the t - len + 1 occurrences a word of length t has
+    room for gives 0 without building the moves, whose every state would
+    hold prod(x + 1) slots mostly out of reach.
 
-    Raises BudgetExceededError, before building the graph, when the
+    Raises BudgetExceededError, before building the moves, when the
     predicted work, word_length * (distinct successors summed over states)
     * prod(x + 1) over the required counts x, exceeds ``step_budget``.  It
-    bounds the edges the build makes and the moves every step makes, since
-    each state is in at most prod(x + 1) nodes, one per tally vector.
+    bounds the slots every step moves: at most one move per distinct
+    successor of each state, each carrying prod(x + 1) slots.
     """
     automaton = build_automaton(instance.alphabet_size, instance.patterns)
     required = instance.required_counts
-    predicted_steps = instance.word_length * sum(map(len, automaton.successors))
+    t = instance.word_length
+    predicted_steps = t * sum(map(len, automaton.successors))
     for x in required:
         predicted_steps *= x + 1  # the tally domain
     if predicted_steps > step_budget:
@@ -241,8 +272,11 @@ def dp_count(instance: ProblemInstance, step_budget: int = DEFAULT_STEP_BUDGET) 
             f"distribution sweep needs about {predicted_steps} steps, "
             f"over the budget of {step_budget}"
         )
-    graph = tally_graph(automaton, required, instance.word_length)
-    masses = [1] + [0] * (len(graph.nodes) - 1)
-    for _ in range(instance.word_length):
+    if any(x > max(0, t - a + 1) for a, x in zip(instance.pattern_lengths, required)):
+        return 0  # more occurrences than a word of length t has room for
+    graph = tally_graph(automaton, required, t)
+    masses = [1] + [0] * (automaton.state_count - 1)
+    for _ in range(t):
         masses = advance_distribution(graph, masses)
-    return sum(mass for mass, (_, tallies) in zip(masses, graph.nodes) if tallies == required)
+    top = (graph.slots - 1) * graph.width
+    return sum(mass >> top for mass in masses)

@@ -36,11 +36,6 @@ def multichoose(n: int, k: int) -> int:
     return math.comb(n + k - 1, k)
 
 
-def factorial(n: int) -> int:
-    """n! as an exact integer."""
-    return math.factorial(n)
-
-
 def multinomial(parts: Sequence[int]) -> int:
     """(sum of parts)! / product(part!) via a telescoping binomial product.
 

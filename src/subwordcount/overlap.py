@@ -8,8 +8,9 @@ formula applicability.
 
 Borders come from one failure-function pass, linear in the pattern
 length.  Two patterns overlap when some relative placement agrees on
-every position they share, and ``can_overlap`` tries each placement, so
-it compares at most len(first) * len(second) symbol pairs.
+every position they share; ``can_overlap`` finds such a placement with
+two failure-function passes, one over each pattern, a sentinel and the
+other, so it too is linear in the two lengths.
 
 All functions accept either a ``core.Pattern`` or any plain sequence whose
 elements compare by equality, so tests can use strings directly.
@@ -74,18 +75,19 @@ def is_self_intersecting(pattern) -> bool:
 def can_overlap(first, second) -> bool:
     """True when occurrences of the two patterns can share a word position.
 
-    Placing ``second`` at shift s against ``first`` shares the positions
-    lo..hi-1 of ``first``, lo = max(0, s) and hi = min(len(first),
-    s + len(second)); every s from 1 - len(second) to len(first) - 1
-    shares at least one.  The two overlap when some shift agrees on all
-    the positions it shares.  That covers one pattern containing the
-    other and a proper suffix of either equalling a prefix of the other.
-    Symmetric in its arguments.  A pattern overlaps itself at shift 0.
+    That is when one pattern contains the other or a proper suffix of
+    either equals a prefix of the other.  For each ordering (x, y) one
+    failure-function pass runs over y, a sentinel equal to no symbol, and
+    x: over the x part each value is the longest suffix read so far that
+    is a prefix of y, so y occurs in x where a value equals len(y), and a
+    suffix of x is a prefix of y when the last value is nonzero.  Symmetric
+    in its arguments.  A pattern overlaps itself.
     """
     a = _symbols(first)
     b = _symbols(second)
-    for shift in range(1 - len(b), len(a)):
-        lo, hi = max(0, shift), min(len(a), shift + len(b))
-        if a[lo:hi] == b[lo - shift : hi - shift]:
+    sentinel = object()
+    for x, y in ((a, b), (b, a)):
+        fail = _failure_function(y + (sentinel,) + x)
+        if fail[-1] or len(y) in fail[len(y) + 1 :]:
             return True
     return False

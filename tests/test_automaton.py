@@ -1,4 +1,6 @@
+import itertools
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -62,15 +64,52 @@ def predicted_moves(instance):
     return predicted
 
 
+def tally_vectors(required):
+    """Every tally vector within the requirements, in slot order: read in
+    mixed radix, the first pattern's tally varies fastest."""
+    ranges = [range(x + 1) for x in reversed(required)]
+    return [tuple(reversed(v)) for v in itertools.product(*ranges)]
+
+
+def unpack(graph, mass):
+    """The slot masses packed in one state's int."""
+    assert mass >> (graph.slots * graph.width) == 0  # nothing past the top slot
+    full = (1 << graph.width) - 1
+    return [(mass >> (k * graph.width)) & full for k in range(graph.slots)]
+
+
 def sweep(automaton, required, t):
-    """The tally graph to depth t and the masses after each of its t steps."""
+    """The packed moves for words of length t and, before and after each of
+    its t steps, every state's slot masses."""
     graph = tally_graph(automaton, required, t)
-    masses = [1] + [0] * (len(graph.nodes) - 1)
-    steps = [masses]
+    masses = [1] + [0] * (automaton.state_count - 1)
+    steps = [[unpack(graph, mass) for mass in masses]]
     for _ in range(t):
         masses = advance_distribution(graph, masses)
-        steps.append(masses)
+        steps.append([unpack(graph, mass) for mass in masses])
     return graph, steps
+
+
+def slot_totals(masses):
+    """Mass in each slot, summed over the states."""
+    return [sum(column) for column in zip(*masses)]
+
+
+@st.composite
+def borderless_disjoint_sets(draw):
+    """(q, patterns): 1-3 patterns of length 1-3 with no symbol used twice,
+    so no pattern has a border and no two can share a position."""
+    q = draw(st.integers(2, 36))
+    symbols = draw(st.permutations(range(q)))
+    patterns = []
+    used = 0
+    for _ in range(draw(st.integers(1, 3))):
+        if used == q:
+            break
+        length = draw(st.integers(1, min(3, q - used)))
+        patterns.append(tuple(symbols[used : used + length]))
+        used += length
+    return q, patterns
 
 
 class TestBuildAutomaton:
@@ -192,13 +231,13 @@ class TestAdvanceDistribution:
         # no word of length <= 5 holds three copies of 01, so nothing is dropped
         _, steps = sweep(build_automaton(3, [(0, 1)]), [2], 5)
         for k, masses in enumerate(steps):
-            assert sum(masses) == 3**k
+            assert sum(slot_totals(masses)) == 3**k
 
     def test_mass_past_a_requirement_is_dropped(self):
-        graph, steps = sweep(build_automaton(1, [(0,)]), [2], 3)
-        held = {graph.nodes[node][1]: mass for node, mass in enumerate(steps[2]) if mass}
+        _, steps = sweep(build_automaton(1, [(0,)]), [2], 3)
+        held = {v: mass for v, mass in zip(tally_vectors([2]), slot_totals(steps[2])) if mass}
         assert held == {(2,): 1}
-        assert not any(steps[3])
+        assert not any(map(any, steps[3]))
 
     @given(
         st.integers(2, 4).flatmap(lambda q: st.tuples(st.just(q), patterns_over(q, 3))),
@@ -210,16 +249,14 @@ class TestAdvanceDistribution:
     @example((2, [(0, 1), (1, 0)]), 6, [0, 0, 0])
     @settings(max_examples=60, deadline=None)
     def test_mass_counts_the_words_within_every_requirement(self, q_patterns, t, counts):
+        # slot by slot: each tally vector holds exactly the words with that profile
         q, patterns = q_patterns
         required = counts[: len(patterns)]
+        vectors = tally_vectors(required)
         _, steps = sweep(build_automaton(q, patterns), required, t)
         for n, masses in enumerate(steps):
-            within = sum(
-                words
-                for profile, words in occurrence_profile_counts(q, n, patterns).items()
-                if all(c <= x for c, x in zip(profile, required))
-            )
-            assert sum(masses) == within, n
+            profiles = occurrence_profile_counts(q, n, patterns)
+            assert slot_totals(masses) == [profiles.get(v, 0) for v in vectors], n
 
 
 class TestTallyGraph:
@@ -231,23 +268,39 @@ class TestTallyGraph:
     @example((2, [(0, 0), (0, 0, 0)]), 40, [3, 2, 0])
     @example((3, [(0, 1, 0), (1, 0), (2,)]), 40, [3, 3, 3])
     @settings(max_examples=60, deadline=None)
-    def test_nodes_stay_within_the_requirements(self, q_patterns, depth, counts):
+    def test_nodes_stay_within_the_requirements(self, q_patterns, t, counts):
+        # a node is a state and a tally vector, that is one slot of a state's
+        # mass; every slot a move keeps lands on a vector within the requirements
         q, patterns = q_patterns
         required = counts[: len(patterns)]
         auto = build_automaton(q, patterns)
-        graph = tally_graph(auto, required, depth)
+        graph = tally_graph(auto, required, t)
+        vectors = tally_vectors(required)
+        slot_of = {v: k for k, v in enumerate(vectors)}
         assert graph.alphabet_size == q
-        assert graph.nodes[0] == (0, (0,) * len(required))
-        assert len(graph.edges) == len(graph.nodes)
-        domain = 1
-        for x in required:
-            domain *= x + 1
-        assert len(graph.nodes) <= auto.state_count * domain
-        assert len(set(graph.nodes)) == len(graph.nodes)
-        for (state, tallies), out in zip(graph.nodes, graph.edges):
-            assert all(0 <= c <= x for c, x in zip(tallies, required))
-            assert len(out) <= len(auto.successors[state])
-            assert sum(symbols for _, symbols in out) <= q
+        assert graph.slots == len(vectors)
+        assert graph.width % 8 == 0 and graph.width >= (q**t).bit_length()
+        assert len(graph.moves) == auto.state_count
+        full = (1 << graph.width) - 1
+        for state, out in enumerate(graph.moves):
+            allowed = [
+                (nxt, symbols)
+                for nxt, symbols in auto.successors[state]
+                if all(required[p] for p in auto.emits[nxt])
+            ]
+            assert [(nxt, symbols) for nxt, symbols, _, _ in out] == allowed
+            for nxt, _, mask, shift in out:
+                emitted = auto.emits[nxt]
+                assert mask >> (graph.slots * graph.width) == 0
+                assert shift % graph.width == 0
+                for k, v in enumerate(vectors):
+                    kept = (mask >> (k * graph.width)) & full
+                    if all(v[p] < required[p] for p in emitted):
+                        assert kept == full
+                        bumped = tuple(c + (p in emitted) for p, c in enumerate(v))
+                        assert k + shift // graph.width == slot_of[bumped]
+                    else:
+                        assert kept == 0
 
     def test_rejects_counts_that_do_not_fit_the_patterns(self):
         auto = build_automaton(2, [(0, 1), (1, 1)])
@@ -255,14 +308,22 @@ class TestTallyGraph:
             with pytest.raises(ValueError):
                 tally_graph(auto, required, 3)
 
-    def test_short_words_with_large_counts_build_only_what_they_reach(self):
-        # expanding every node reachable without a depth limit builds
-        # 41^3 tally vectors per state here
-        inst = ProblemInstance.from_pairs(4, 5, [((0, 1), 40), ((1, 2), 40), ((2, 3), 40)])
-        start = time.perf_counter()
-        assert dp_count(inst) == 0
-        assert time.perf_counter() - start < 1
-        assert enumerate_count(inst) == 0
+    def test_short_words_with_large_counts_are_counted_quickly(self):
+        # no word of length t holds more than t - len + 1 copies of a pattern,
+        # so both are 0 without packing 41^3 or 6001^2 tally vectors per state
+        instances = [
+            ProblemInstance.from_pairs(4, 5, [((0, 1), 40), ((1, 2), 40), ((2, 3), 40)]),
+            ProblemInstance.from_pairs(2, 1, [((0,), 6000), ((1,), 6000)]),
+        ]
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            assert [dp_count(inst) for inst in instances] == [0, 0]
+            assert time.perf_counter() - start < 1
+            assert tracemalloc.get_traced_memory()[1] < 10**6
+        finally:
+            tracemalloc.stop()
+        assert [enumerate_count(inst) for inst in instances] == [0, 0]
 
 
 class TestDpCount:
@@ -311,16 +372,17 @@ class TestDpCount:
         ],
     )
     def test_budget_bounds_the_moves_the_sweep_makes(self, inst):
+        # each move carries every slot of its state's mass
         auto = build_automaton(inst.alphabet_size, inst.patterns)
         graph, steps = sweep(auto, inst.required_counts, inst.word_length)
         moves = sum(
-            len(graph.edges[node])
+            len(graph.moves[state])
             for masses in steps[:-1]
-            for node, mass in enumerate(masses)
-            if mass
+            for state, slots in enumerate(masses)
+            if any(slots)
         )
-        assert 0 < moves <= predicted_moves(inst)
-        assert sum(map(len, graph.edges)) <= predicted_moves(inst)  # the build
+        assert 0 < moves * graph.slots <= predicted_moves(inst)
+        assert sum(map(len, graph.moves)) * graph.slots <= predicted_moves(inst)  # the build
 
     def test_long_pattern_over_budget_is_refused_quickly(self):
         # the automaton costs states * alphabet size to build, so the
@@ -353,6 +415,30 @@ class TestDpCount:
         ],
     )
     def test_agrees_with_closed_form_on_long_wide_alphabet_words(self, inst):
+        assert dp_count(inst) == count_multi(inst).total
+
+    @pytest.mark.parametrize("required", [0, 1])
+    def test_slots_use_their_full_width(self, required):
+        # most of the 36^200 words avoid 012, so the zero-tally slot needs
+        # every bit of q^t: a slot any narrower carries into the next one
+        inst = ProblemInstance.from_pairs(36, 200, [((0, 1, 2), required)])
+        avoiding = count_multi(ProblemInstance.from_pairs(36, 200, [((0, 1, 2), 0)])).total
+        assert avoiding.bit_length() == (36**200).bit_length()
+        assert dp_count(inst) == count_multi(inst).total
+
+    @given(
+        borderless_disjoint_sets(),
+        st.integers(0, 150),
+        st.lists(st.integers(0, 3), min_size=3, max_size=3),
+    )
+    @example((36, [(0, 1, 2)]), 0, [0, 0, 0])
+    @example((36, [(0, 1, 2)]), 0, [1, 0, 0])
+    @example((3, [(0,), (1,), (2,)]), 9, [3, 3, 3])  # all length 1: every symbol is a pattern
+    @example((4, [(0,), (1,)]), 150, [3, 2, 0])
+    @settings(max_examples=40, deadline=None)
+    def test_agrees_with_closed_form_at_full_slot_width(self, q_patterns, t, counts):
+        q, patterns = q_patterns
+        inst = ProblemInstance.from_pairs(q, t, list(zip(patterns, counts)))
         assert dp_count(inst) == count_multi(inst).total
 
     @given(

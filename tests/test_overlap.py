@@ -117,15 +117,26 @@ class TestCanOverlap:
         assert can_overlap("abc", "abc")
 
     def test_exhaustive_against_shift_witness(self):
-        # all ordered pairs of patterns of length <= 3 over three symbols
+        # all ordered pairs of patterns of length <= 4 over three symbols,
+        # which include every pair over two
         pool = [
             p
-            for length in (1, 2, 3)
+            for length in (1, 2, 3, 4)
             for p in itertools.product(range(3), repeat=length)
         ]
         for a in pool:
             for b in pool:
                 assert can_overlap(a, b) == shift_witness_overlap(a, b), (a, b)
+
+    def test_long_patterns_take_linear_time(self):
+        # trying every shift copies the shared slices at 200,000 shifts here
+        ones_then_zero = (0,) + (1,) * 99_999
+        ones_then_two = (1,) * 99_999 + (2,)
+        two_then_ones = (2,) + (1,) * 99_999
+        start = time.perf_counter()
+        assert can_overlap(ones_then_zero, ones_then_two)  # the runs of ones meet
+        assert not can_overlap(ones_then_zero, two_then_ones)
+        assert time.perf_counter() - start < 5
 
     @given(patterns, patterns)
     def test_random_pairs_against_shift_witness(self, a, b):
