@@ -27,8 +27,9 @@ for indices, value in breakdown.terms[:3]:
 print()
 
 # The automaton oracle recomputes the count without the closed form:
-# it pushes word-count mass symbol by symbol through a pattern-matching
-# automaton, tracking per-pattern tallies.  Exact integers throughout.
+# it moves word-count mass symbol by symbol through a pattern-matching
+# automaton, from both ends of the word until the halves meet, tracking
+# per-pattern tallies.  Exact integers throughout.
 oracle = dp_count(inst)
 print(f"automaton oracle agrees: {oracle == breakdown.total}")
 print()

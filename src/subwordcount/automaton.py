@@ -9,22 +9,35 @@ that is a suffix of its prefix, which reports every pattern occurrence
 exactly once.  The table is filled shortest prefix first, each row from
 rows already filled, in time proportional to states times alphabet size.
 
-``dp_count`` pushes word-count mass through the automaton instead of
-individual words.  Each state holds one int that packs the masses of all
+``dp_count`` counts words by moving word-count mass through the
+automaton instead of individual words.  States with equal successor
+rows, the same next states on the same numbers of symbols, count alike,
+so one pass over the rows folds each set of them into one node; every
+leaf of the prefix trie has its fallback state's row and folds into
+that state's node.  Each node holds one int that packs the masses of all
 prod(x + 1) tally vectors within the requirements, one fixed-width slot
 per vector, the vectors read in mixed radix; a word that overshoots a
 requirement can never meet it, so it has no slot and its mass is
 dropped.  The moves are built once: each groups the symbols that lead
-from a state to one successor state, so on a wide alphabet, where most
-symbols fall back to the same state, mass moves once per successor
-rather than once per symbol.  A move masks off the slots whose tallies
-its emitted patterns would take past a requirement and shifts the rest
-up by those patterns' strides, so one step is one big-int move per
-automaton edge, whatever the number of tally vectors.  The slots are
-wide enough for q ** word_length, so none carries into the next.  It
-agrees with brute-force enumeration on every instance small enough to
-check both ways, while scaling to word lengths enumeration cannot touch.
-All mass bookkeeping is exact integer arithmetic.
+from a node to one successor node with one set of emitted patterns, so
+on a wide alphabet, where most symbols fall back to the same state,
+mass moves once per successor rather than once per symbol.  A move
+masks off the slots whose tallies its emitted patterns would take past
+a requirement and shifts the rest up by those patterns' strides, so one
+step is one big-int move per edge, whatever the number of tally vectors.
+
+The sweep meets in the middle.  The front half pushes mass from the
+empty prefix over the first t // 2 positions; the back half pulls, into
+every node, the mass of the words of the other t - t // 2 positions read
+from it.  No slot of either half exceeds q ** (t - t // 2), so the slots
+are half as wide as a single sweep of t steps would need, and every
+move works on ints half as long.  A word is a front half and a back
+half meeting at a node with tallies c and x - c, and x - c is c's slot
+mirrored, so the count is one sum of slot products per node, with no
+convolution.  It agrees with brute-force enumeration on every instance
+small enough to check both ways, while scaling to word lengths
+enumeration cannot touch.  All mass bookkeeping is exact integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -140,9 +153,18 @@ def count_matches(automaton: MatchAutomaton, word: Sequence[int]) -> tuple[int, 
 
 @dataclass(frozen=True)
 class TallyGraph:
-    """The automaton's moves on packed occurrence tallies.
+    """The automaton's moves on packed occurrence tallies, over its states
+    with duplicates folded.
 
-    A state's mass is one int of ``slots`` fixed-width slots, one per
+    States whose successor rows are equal count alike: they move to the
+    same states, which emit the same patterns, on the same numbers of
+    symbols.  Each set of such states is one node, and mass that enters
+    any of them enters the node, with the patterns the state entered
+    emits.  Every leaf of the prefix trie, the full match of a pattern
+    that no other pattern extends, has the row of its fallback state and
+    folds into that state's node.
+
+    A node's mass is one int of ``slots`` fixed-width slots, one per
     tally vector within the requirements.  Vector (c_0, ..., c_{d-1}) is
     slot sum(c_p * stride_p), read in mixed radix with stride_p =
     prod(x_r + 1 for r < p), and occupies bits slot * width up to
@@ -155,30 +177,38 @@ class TallyGraph:
         width: bits per slot: the whole bytes that hold q ** word_length,
             the most a slot, or a slot times a symbol count before the
             last step, can reach, so no slot carries into the next.
-        moves: moves[state] lists (next state, symbol count, keep mask,
-            shift) tuples, one per entry of the automaton's successors of
-            the state, except those that emit a pattern required 0 times.
-            The mask zeroes the slots where an emitted pattern already
-            meets its requirement, whose mass would overshoot, and the
-            shift, the emitted patterns' summed strides times the width,
-            takes every other slot to the one with each emitted tally one
-            higher.
+        node_of: node_of[state] is the node of each automaton state; nodes
+            are numbered in order of their first state, so state 0, the
+            empty prefix, is node 0.
+        moves: moves[node] lists (next node, symbol count, keep mask,
+            shift) tuples read off the successors of the node's first
+            state, one per distinct (next node, emitted patterns) pair,
+            except those that emit a pattern required 0 times.  The mask
+            zeroes the slots where an emitted pattern already meets its
+            requirement, whose mass would overshoot, and the shift, the
+            emitted patterns' summed strides times the width, takes every
+            other slot to the one with each emitted tally one higher.
     """
 
     alphabet_size: int
     slots: int
     width: int
+    node_of: tuple[int, ...]
     moves: tuple[tuple[tuple[int, int, int, int], ...], ...]
 
 
 def tally_graph(automaton: MatchAutomaton, required: Sequence[int], word_length: int) -> TallyGraph:
-    """Precompute the packed moves of ``automaton`` for the required
-    occurrence counts, with slots wide enough for words of ``word_length``.
+    """Fold ``automaton``'s duplicate states and precompute the packed
+    moves of the nodes for the required occurrence counts, with slots wide
+    enough for words of ``word_length``.
 
-    Each pattern's keep mask repeats a block of bytes, so it costs time
-    linear in its size, and a move's mask is the AND of the masks of the
-    patterns it emits.  ``required`` holds one count per pattern of the
-    automaton.
+    The fold is one pass over the successor rows, keyed by the row, so it
+    costs no more than the rows themselves.  It is not iterated:
+    refining the fold until it stops changing costs up to states squared
+    times the alphabet size on long patterns.  Each pattern's keep mask repeats a
+    block of bytes, so it costs time linear in its size, and a move's mask
+    is the AND of the masks of the patterns it emits.  ``required`` holds
+    one count per pattern of the automaton.
     """
     required = tuple(required)
     if len(required) != automaton.pattern_count:
@@ -205,12 +235,17 @@ def tally_graph(automaton: MatchAutomaton, required: Sequence[int], word_length:
         )
         for stride, x in zip(strides, required)
     ]
+    node_by_row: dict[tuple[tuple[int, int], ...], int] = {}  # node of each distinct row
+    node_of = tuple(node_by_row.setdefault(row, len(node_by_row)) for row in automaton.successors)
     packed = {}  # (mask, shift) by emitted patterns
     moves = []
-    for row in automaton.successors:
-        out = []
+    for row in node_by_row:  # the first state's row of each node, in node order
+        out: dict[tuple[int, tuple[int, ...]], int] = {}  # symbols by (next node, emitted)
         for nxt, symbols in row:
-            emitted = automaton.emits[nxt]
+            key = node_of[nxt], automaton.emits[nxt]
+            out[key] = out.get(key, 0) + symbols
+        kept = []
+        for (node, emitted), symbols in out.items():
             if emitted not in packed:
                 mask = (1 << (slots * width)) - 1
                 for p in emitted:
@@ -218,18 +253,18 @@ def tally_graph(automaton: MatchAutomaton, required: Sequence[int], word_length:
                 packed[emitted] = mask, width * sum(strides[p] for p in emitted)
             mask, shift = packed[emitted]
             if mask:
-                out.append((nxt, symbols, mask, shift))
-        moves.append(tuple(out))
-    return TallyGraph(automaton.alphabet_size, slots, width, tuple(moves))
+                kept.append((node, symbols, mask, shift))
+        moves.append(tuple(kept))
+    return TallyGraph(automaton.alphabet_size, slots, width, node_of, tuple(moves))
 
 
 def advance_distribution(graph: TallyGraph, masses: Sequence[int]) -> list[int]:
-    """Extend every tracked word by one symbol.
+    """Extend every tracked word by one symbol at its end.
 
-    ``masses[state]`` packs, slot by slot, how many words of the current
-    length end in that state with each tally vector; the result holds the
-    same for words one symbol longer, dropping every word that overshoots
-    a requirement.
+    ``masses[node]`` packs, slot by slot, how many words of the current
+    length lead from the empty prefix's node to that node with each tally
+    vector; the result holds the same for words one symbol longer,
+    dropping every word that overshoots a requirement.
     """
     following = [0] * len(masses)
     for mass, out in zip(masses, graph.moves):
@@ -241,25 +276,75 @@ def advance_distribution(graph: TallyGraph, masses: Sequence[int]) -> list[int]:
     return following
 
 
+def _pull_distribution(graph: TallyGraph, masses: Sequence[int]) -> list[int]:
+    """Extend every tracked word by one symbol at its start.
+
+    ``masses[node]`` packs how many words of the current length, read from
+    that node, make each tally vector; the result holds the same for
+    words one symbol longer: the node's moves, each applied to the mass
+    of the node it leads to, summed.  Words that overshoot are dropped.
+    """
+    pulled = []
+    for out in graph.moves:
+        total = 0
+        for nxt, symbols, mask, shift in out:
+            mass = masses[nxt]
+            if mass:
+                moved = (mass & mask) << shift if shift else mass
+                total += moved * symbols if symbols > 1 else moved
+        pulled.append(total)
+    return pulled
+
+
+def _join_halves(graph: TallyGraph, front: Sequence[int], back: Sequence[int]) -> int:
+    """The number of words made of a front half and a back half, met at
+    some node, whose tallies add up to the requirements.
+
+    The back half's tallies must make up x - c where the front's are c,
+    and x - c is the slot mirrored from c's, slots - 1 minus it, since
+    the mixed-radix slot number is linear in the vector.  A back int
+    written big-endian lists its slots in that mirrored order.
+    """
+    step = graph.width // 8
+    size = graph.slots * step
+    count = 0
+    for head, tail in zip(front, back):
+        if head and tail:
+            heads = head.to_bytes(size, "little")
+            tails = tail.to_bytes(size, "big")
+            count += sum(
+                int.from_bytes(heads[k : k + step], "little")
+                * int.from_bytes(tails[k : k + step], "big")
+                for k in range(0, size, step)
+            )
+    return count
+
+
 def dp_count(instance: ProblemInstance, step_budget: int = DEFAULT_STEP_BUDGET) -> int:
     """Exact number of words meeting every required occurrence count,
     computed by mass propagation rather than word enumeration.
 
     Like the brute-force oracle this accepts any pattern set; overlapping
     and self-intersecting patterns are handled by the automaton itself.
-    The packed moves are built once and swept word_length times, one
-    big-int move per automaton edge per step; mass that would take a
-    tally past its requirement is dropped, since such a word can never
-    meet it.  The count is the top slot, summed over the states.  A
-    requirement past the t - len + 1 occurrences a word of length t has
-    room for gives 0 without building the moves, whose every state would
-    hold prod(x + 1) slots mostly out of reach.
+    The sweep meets in the middle on the folded tally graph.  The front
+    half pushes mass from the empty prefix for t // 2 steps; the back
+    half pulls, into every node, the mass of the words of the remaining
+    length read from it.  Neither half holds more than q ** (t - t // 2)
+    in a slot, so the slots are half as wide as one sweep of t steps
+    needs, and every big-int move costs about half as much.  Mass that
+    would take a tally past its requirement is dropped, since such a word
+    can never meet it.  The count joins the halves at each node, front
+    slot by mirrored back slot.  A requirement past the t - len + 1
+    occurrences a word of length t has room for gives 0 without building
+    the moves, whose every node would hold prod(x + 1) slots mostly out
+    of reach.
 
     Raises BudgetExceededError, before building the moves, when the
     predicted work, word_length * (distinct successors summed over states)
     * prod(x + 1) over the required counts x, exceeds ``step_budget``.  It
-    bounds the slots every step moves: at most one move per distinct
-    successor of each state, each carrying prod(x + 1) slots.
+    is an upper bound on the slots the two halves move: t steps between
+    them, at most one move per distinct successor of each state in each,
+    each carrying prod(x + 1) slots, and folding only removes moves.
     """
     automaton = build_automaton(instance.alphabet_size, instance.patterns)
     required = instance.required_counts
@@ -274,9 +359,12 @@ def dp_count(instance: ProblemInstance, step_budget: int = DEFAULT_STEP_BUDGET) 
         )
     if any(x > max(0, t - a + 1) for a, x in zip(instance.pattern_lengths, required)):
         return 0  # more occurrences than a word of length t has room for
-    graph = tally_graph(automaton, required, t)
-    masses = [1] + [0] * (automaton.state_count - 1)
-    for _ in range(t):
-        masses = advance_distribution(graph, masses)
-    top = (graph.slots - 1) * graph.width
-    return sum(mass >> top for mass in masses)
+    half = t // 2
+    graph = tally_graph(automaton, required, t - half)
+    front = [1] + [0] * (len(graph.moves) - 1)  # the empty word, at node 0
+    for _ in range(half):
+        front = advance_distribution(graph, front)
+    back = [1] * len(graph.moves)  # the empty word read from each node, in slot 0
+    for _ in range(t - half):
+        back = _pull_distribution(graph, back)
+    return _join_halves(graph, front, back)

@@ -11,7 +11,8 @@ Exit codes are a contract shared by every subcommand:
   1  malformed input (bad flags, unreadable or unwritable file, bad document)
   2  the closed form does not apply to the instance
   3  two counting methods disagreed (the headline failure mode)
-  4  an oracle refused the instance because a work guard was exceeded
+  4  refused because a work guard was exceeded: an oracle's guard or
+     budget, or the breakdown's cap on copy-count tuples
 
 Counts are serialized as decimal strings, never JSON numbers, because the
 values routinely exceed what a double can represent faithfully.
@@ -46,6 +47,9 @@ EXIT_INPUT = 1
 EXIT_NOT_APPLICABLE = 2
 EXIT_DISAGREE = 3
 EXIT_REFUSED = 4
+
+# most copy-count tuples ``count --breakdown`` lists before it refuses
+BREAKDOWN_TUPLE_CAP = 10**6
 
 # symbol universe for string patterns when no alphabet is declared
 DEFAULT_SYMBOLS = "abcdefghijklmnopqrstuvwxyz0123456789"
@@ -257,10 +261,46 @@ def _emit(text: str, path: str | None) -> None:
         raise DocumentError(f"cannot write {path}: {exc}") from exc
 
 
+def _copy_count_tuples(instance: ProblemInstance, cap: int) -> int:
+    """How many copy-count tuples a breakdown of ``instance`` lists, counted
+    no further than the first total past ``cap``.
+
+    A tuple adds k_p >= 0 copies to each required count, with
+    sum(a_p * k_p) at most the free length.  The shortest pattern comes
+    last, where its choices are counted at once, so each choice of the
+    others that the walk visits adds at least one tuple, and it visits at
+    most cap + 1 of them, however long the word.
+    """
+    free = instance.word_length - instance.minimum_occupancy
+    *longer, shortest = sorted(instance.pattern_lengths, reverse=True)
+    total = 0
+
+    def walk(depth: int, remaining: int) -> None:
+        nonlocal total
+        if depth == len(longer):
+            total += remaining // shortest + 1
+            return
+        for used in range(0, remaining + 1, longer[depth]):
+            walk(depth + 1, remaining - used)
+            if total > cap:
+                return
+
+    if free >= 0:
+        walk(0, free)
+    return total
+
+
 def _cmd_count(args) -> int:
-    breakdown = count_multi(_instance_from_args(args))
+    instance = _instance_from_args(args)
+    breakdown = count_multi(instance)
     payload: dict = {"count": decimal_string(breakdown.total), "method": "closed_form"}
     if args.breakdown:
+        if _copy_count_tuples(instance, BREAKDOWN_TUPLE_CAP) > BREAKDOWN_TUPLE_CAP:
+            print(
+                f"breakdown refused: more than {BREAKDOWN_TUPLE_CAP} copy-count tuples",
+                file=sys.stderr,
+            )
+            return EXIT_REFUSED
         try:
             terms = breakdown.terms  # the per-tuple reference, checked against the total
         except ValueError as exc:
@@ -433,7 +473,9 @@ def _build_parser() -> _Parser:
         help="evaluate the closed-form count",
     )
     count_p.add_argument(
-        "--breakdown", action="store_true", help="include every signed summation term"
+        "--breakdown",
+        action="store_true",
+        help=f"include every signed summation term (refused past {BREAKDOWN_TUPLE_CAP} of them)",
     )
 
     verify_p = sub.add_parser(

@@ -80,9 +80,10 @@ def unpack(graph, mass):
 
 def sweep(automaton, required, t):
     """The packed moves for words of length t and, before and after each of
-    its t steps, every state's slot masses."""
+    its t steps, every node's slot masses: one sweep from the empty
+    prefix, with slots as wide as q ** t."""
     graph = tally_graph(automaton, required, t)
-    masses = [1] + [0] * (automaton.state_count - 1)
+    masses = [1] + [0] * (len(graph.moves) - 1)
     steps = [[unpack(graph, mass) for mass in masses]]
     for _ in range(t):
         masses = advance_distribution(graph, masses)
@@ -91,8 +92,24 @@ def sweep(automaton, required, t):
 
 
 def slot_totals(masses):
-    """Mass in each slot, summed over the states."""
+    """Mass in each slot, summed over the nodes."""
     return [sum(column) for column in zip(*masses)]
+
+
+def expected_moves(auto, node_of, state, required):
+    """(next node, symbol count, emitted patterns) for the moves of the
+    state's node, read off the state's own successors: grouped by next
+    node and emitted patterns in order of first appearance, without those
+    that emit a pattern required 0 times."""
+    grouped = {}
+    for nxt, symbols in auto.successors[state]:
+        key = node_of[nxt], auto.emits[nxt]
+        grouped[key] = grouped.get(key, 0) + symbols
+    return [
+        (node, symbols, emitted)
+        for (node, emitted), symbols in grouped.items()
+        if all(required[p] for p in emitted)
+    ]
 
 
 @st.composite
@@ -280,17 +297,17 @@ class TestTallyGraph:
         assert graph.alphabet_size == q
         assert graph.slots == len(vectors)
         assert graph.width % 8 == 0 and graph.width >= (q**t).bit_length()
-        assert len(graph.moves) == auto.state_count
+        assert len(graph.node_of) == auto.state_count
+        assert len(graph.moves) == len(set(graph.node_of))
         full = (1 << graph.width) - 1
-        for state, out in enumerate(graph.moves):
-            allowed = [
-                (nxt, symbols)
-                for nxt, symbols in auto.successors[state]
-                if all(required[p] for p in auto.emits[nxt])
+        for state, node in enumerate(graph.node_of):
+            # every state, folded or not, gets the moves of its own row
+            out = graph.moves[node]
+            allowed = expected_moves(auto, graph.node_of, state, required)
+            assert [(nxt, symbols) for nxt, symbols, _, _ in out] == [
+                (nxt, symbols) for nxt, symbols, _ in allowed
             ]
-            assert [(nxt, symbols) for nxt, symbols, _, _ in out] == allowed
-            for nxt, _, mask, shift in out:
-                emitted = auto.emits[nxt]
+            for (_, _, mask, shift), (_, _, emitted) in zip(out, allowed):
                 assert mask >> (graph.slots * graph.width) == 0
                 assert shift % graph.width == 0
                 for k, v in enumerate(vectors):
@@ -301,6 +318,40 @@ class TestTallyGraph:
                         assert k + shift // graph.width == slot_of[bumped]
                     else:
                         assert kept == 0
+
+    @given(st.integers(1, 5).flatmap(lambda q: st.tuples(st.just(q), patterns_over(q, 3))))
+    @example((2, [(0, 0), (0, 0, 0)]))  # 000 has the row of 00
+    @example((2, [(0, 1, 0, 1)]))  # bordered: 0101 has the row of 01
+    @example((3, [(0, 1), (2, 1)]))  # both full matches have the root's row
+    @settings(max_examples=80, deadline=None)
+    def test_folded_states_share_their_representatives_row(self, q_patterns):
+        q, patterns = q_patterns
+        auto = build_automaton(q, patterns)
+        node_of = tally_graph(auto, [1] * len(patterns), 3).node_of
+        first = {}  # each node's first state, its representative
+        for state, node in enumerate(node_of):
+            first.setdefault(node, state)
+        assert list(first) == list(range(len(first)))  # numbered by first state
+        for state, node in enumerate(node_of):
+            assert auto.successors[state] == auto.successors[first[node]]
+            # the fold is one pass, but it misses no two equal rows
+            for other in range(state):
+                if auto.successors[other] == auto.successors[state]:
+                    assert node_of[other] == node
+        prefixes = {p[:k] for p in patterns for k in range(len(p) + 1)}
+        for p in patterns:
+            if not any(o != p and o[: len(p)] == p for o in patterns):  # a leaf
+                # its row is its fallback's: the longest proper suffix that is a prefix
+                fallback = max((p[k:] for k in range(1, len(p) + 1) if p[k:] in prefixes), key=len)
+                assert node_of[walk(auto, p)] == node_of[walk(auto, fallback)]
+
+    def test_full_match_of_a_borderless_pattern_folds_into_the_root(self):
+        auto = build_automaton(4, [(0, 1, 2)])
+        graph = tally_graph(auto, [1], 5)
+        assert graph.node_of == (0, 1, 2, 0)
+        # reading 2 after 01 returns to the root's node, emitting the pattern
+        assert [(nxt, symbols) for nxt, symbols, _, _ in graph.moves[2]] == [(1, 1), (0, 2), (0, 1)]
+        assert [shift for nxt, _, _, shift in graph.moves[2] if nxt == 0] == [0, graph.width]
 
     def test_rejects_counts_that_do_not_fit_the_patterns(self):
         auto = build_automaton(2, [(0, 1), (1, 1)])
@@ -383,6 +434,17 @@ class TestDpCount:
         )
         assert 0 < moves * graph.slots <= predicted_moves(inst)
         assert sum(map(len, graph.moves)) * graph.slots <= predicted_moves(inst)  # the build
+        # dp_count's two halves: the front's first t // 2 steps, from the
+        # nodes holding mass, and t - t // 2 back steps over every node
+        half = inst.word_length // 2
+        front = sum(
+            len(graph.moves[node])
+            for masses in steps[:half]
+            for node, slots in enumerate(masses)
+            if any(slots)
+        )
+        back = (inst.word_length - half) * sum(map(len, graph.moves))
+        assert (front + back) * graph.slots <= predicted_moves(inst)
 
     def test_long_pattern_over_budget_is_refused_quickly(self):
         # the automaton costs states * alphabet size to build, so the
@@ -419,11 +481,13 @@ class TestDpCount:
 
     @pytest.mark.parametrize("required", [0, 1])
     def test_slots_use_their_full_width(self, required):
-        # most of the 36^200 words avoid 012, so the zero-tally slot needs
-        # every bit of q^t: a slot any narrower carries into the next one
+        # most of the 36^100 words of each half avoid 012, so a half's
+        # zero-tally slot needs every bit of q^(t - t // 2): a slot any
+        # narrower carries into the next one
         inst = ProblemInstance.from_pairs(36, 200, [((0, 1, 2), required)])
-        avoiding = count_multi(ProblemInstance.from_pairs(36, 200, [((0, 1, 2), 0)])).total
-        assert avoiding.bit_length() == (36**200).bit_length()
+        for t in (100, 200):
+            avoiding = count_multi(ProblemInstance.from_pairs(36, t, [((0, 1, 2), 0)])).total
+            assert avoiding.bit_length() == (36**t).bit_length()
         assert dp_count(inst) == count_multi(inst).total
 
     @given(
@@ -440,6 +504,41 @@ class TestDpCount:
         q, patterns = q_patterns
         inst = ProblemInstance.from_pairs(q, t, list(zip(patterns, counts)))
         assert dp_count(inst) == count_multi(inst).total
+
+    @given(
+        # q ** t stays within 20,000 words, so enumeration is quick
+        st.sampled_from([(2, 12), (3, 9), (4, 7)]).flatmap(
+            lambda q_most: st.tuples(
+                st.just(q_most[0]), patterns_over(q_most[0], 3), st.integers(0, q_most[1])
+            )
+        ),
+        st.lists(st.integers(0, 3), min_size=3, max_size=3),
+    )
+    @example((2, [(0, 1, 0, 1)], 5), [2, 0, 0])  # the second copy straddles the split
+    @example((2, [(0, 1, 0, 1)], 6), [2, 0, 0])
+    @example((2, [(0, 1, 0, 1)], 6), [1, 0, 0])
+    @example((4, [(0, 3, 2), (1, 2, 3)], 7), [1, 1, 0])  # the ACGT flagship's ATG and CGT
+    @example((2, [(0, 0), (0, 1, 0)], 11), [3, 2, 0])  # bordered, shared prefix
+    @example((3, [(0, 1), (1, 0), (0, 1, 1)], 9), [2, 2, 1])  # overlapping pairs
+    @example((2, [(0,), (1,)], 0), [0, 0, 0])
+    @example((2, [(0,), (1,)], 1), [1, 0, 0])
+    @example((2, [(0, 1)], 1), [0, 0, 0])
+    @settings(max_examples=80, deadline=None)
+    def test_meets_in_the_middle_bit_exactly(self, q_patterns_t, counts):
+        # two half sweeps on half-width slots == one full sweep == every word
+        q, patterns, t = q_patterns_t
+        required = counts[: len(patterns)]
+        inst = ProblemInstance.from_pairs(q, t, list(zip(patterns, required)))
+        graph, steps = sweep(build_automaton(q, patterns), required, t)
+        top = sum(slots[graph.slots - 1] for slots in steps[-1])
+        assert dp_count(inst) == top == enumerate_count(inst)
+
+    def test_flagship_meets_in_the_middle_bit_exactly(self):
+        # ACGT words of length 200 with ATG 10 times and CGT 8 times
+        inst = ProblemInstance.from_pairs(4, 200, [((0, 3, 2), 10), ((1, 2, 3), 8)])
+        graph, steps = sweep(build_automaton(4, inst.patterns), inst.required_counts, 200)
+        top = sum(slots[graph.slots - 1] for slots in steps[-1])
+        assert dp_count(inst) == top == count_multi(inst).total
 
     @given(
         st.integers(2, 3),

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -139,6 +140,53 @@ class TestCount:
         assert code == EXIT_DISAGREE
         assert out == ""
         assert "disagree" in err
+
+    def test_breakdown_past_the_tuple_cap_exits_4_quickly(self, capsys, monkeypatch):
+        # three length-3 patterns at t=800 list 2,997,411 copy-count tuples
+        def walk(instance):
+            raise AssertionError("the per-tuple walk started")
+
+        monkeypatch.setattr(closed_form, "per_tuple_terms", walk)
+        argv = ["count", "--q", "9", "--t", "800", "--breakdown"]
+        for body in ("abc", "def", "ghi"):
+            argv += ["--pattern", f"{body}=2"]
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == EXIT_REFUSED
+        assert out == ""
+        assert "breakdown refused" in err
+        # the count alone is still given
+        code, out, _ = run(capsys, *[a for a in argv if a != "--breakdown"])
+        assert code == EXIT_OK
+        assert int(json.loads(out)["count"]) > 0
+
+    @pytest.mark.parametrize("cap, expected", [(3, EXIT_OK), (2, EXIT_REFUSED)])
+    def test_breakdown_tuple_cap_is_exact(self, capsys, monkeypatch, cap, expected):
+        # ab=1 at t=6 lists the tuples [1], [2] and [3]
+        monkeypatch.setattr(cli, "BREAKDOWN_TUPLE_CAP", cap)
+        code, _, _ = run(
+            capsys, "count", "--q", "2", "--t", "6", "--pattern", "ab=1", "--breakdown"
+        )
+        assert code == expected
+
+    @given(
+        st.lists(st.tuples(st.integers(1, 4), st.integers(0, 3)), min_size=1, max_size=3),
+        st.integers(0, 40),
+        st.integers(0, 50),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_tuple_count_matches_the_walk(self, lengths_counts, t, cap):
+        # patterns on disjoint symbols; the tuples depend only on lengths and counts
+        pairs, used = [], 0
+        for length, x in lengths_counts:
+            pairs.append((tuple(range(used, used + length)), x))
+            used += length
+        instance = ProblemInstance.from_pairs(max(used, 2), t, pairs)
+        listed = sum(1 for _ in closed_form.iter_copy_counts(t, instance.specs))
+        assert cli._copy_count_tuples(instance, listed) == listed
+        counted = cli._copy_count_tuples(instance, cap)
+        assert counted == listed if listed <= cap else counted > cap
 
     def test_named_alphabet_flag(self, capsys):
         code, out, _ = run(
