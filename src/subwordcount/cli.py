@@ -12,7 +12,8 @@ Exit codes are a contract shared by every subcommand:
   2  the closed form does not apply to the instance
   3  two counting methods disagreed (the headline failure mode)
   4  refused because a work guard was exceeded: an oracle's guard or
-     budget, or the breakdown's cap on copy-count tuples
+     budget, or the breakdown's caps on copy-count tuples and on their
+     output size
 
 Counts are serialized as decimal strings, never JSON numbers, because the
 values routinely exceed what a double can represent faithfully.
@@ -24,6 +25,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import statistics
 import sys
 import time
@@ -48,8 +50,10 @@ EXIT_NOT_APPLICABLE = 2
 EXIT_DISAGREE = 3
 EXIT_REFUSED = 4
 
-# most copy-count tuples ``count --breakdown`` lists before it refuses
+# most copy-count tuples ``count --breakdown`` lists before it refuses, and
+# most tuples times the decimal digits of q ** t, a measure of its output
 BREAKDOWN_TUPLE_CAP = 10**6
+BREAKDOWN_DIGIT_CAP = 10**7
 
 # symbol universe for string patterns when no alphabet is declared
 DEFAULT_SYMBOLS = "abcdefghijklmnopqrstuvwxyz0123456789"
@@ -290,17 +294,32 @@ def _copy_count_tuples(instance: ProblemInstance, cap: int) -> int:
     return total
 
 
+def _decimal_digits(q: int, t: int) -> int:
+    """Decimal digits of q ** t, from t * log10(q) (float rounding aside)."""
+    return math.floor(t * math.log10(q)) + 1
+
+
 def _cmd_count(args) -> int:
     instance = _instance_from_args(args)
-    breakdown = count_multi(instance)
-    payload: dict = {"count": decimal_string(breakdown.total), "method": "closed_form"}
     if args.breakdown:
-        if _copy_count_tuples(instance, BREAKDOWN_TUPLE_CAP) > BREAKDOWN_TUPLE_CAP:
+        # an instance the closed form rejects exits 2, whatever its size
+        report = validate_instance(instance)
+        if not report.is_formula_applicable:
+            raise NotApplicableError(report)
+        # refuse before the total, which alone takes seconds on long words
+        digits = _decimal_digits(instance.alphabet_size, instance.word_length)
+        cap = min(BREAKDOWN_TUPLE_CAP, BREAKDOWN_DIGIT_CAP // digits)
+        if _copy_count_tuples(instance, cap) > cap:
             print(
-                f"breakdown refused: more than {BREAKDOWN_TUPLE_CAP} copy-count tuples",
+                f"breakdown refused: more than {cap} copy-count tuples (caps: "
+                f"{BREAKDOWN_TUPLE_CAP} tuples, and {BREAKDOWN_DIGIT_CAP} for tuples "
+                f"times the {digits} decimal digits of q ** t)",
                 file=sys.stderr,
             )
             return EXIT_REFUSED
+    breakdown = count_multi(instance)
+    payload: dict = {"count": decimal_string(breakdown.total), "method": "closed_form"}
+    if args.breakdown:
         try:
             terms = breakdown.terms  # the per-tuple reference, checked against the total
         except ValueError as exc:
@@ -475,7 +494,10 @@ def _build_parser() -> _Parser:
     count_p.add_argument(
         "--breakdown",
         action="store_true",
-        help=f"include every signed summation term (refused past {BREAKDOWN_TUPLE_CAP} of them)",
+        help=(
+            f"include every signed summation term (refused past {BREAKDOWN_TUPLE_CAP} of "
+            f"them, or past {BREAKDOWN_DIGIT_CAP} for their number times the digits of q ** t)"
+        ),
     )
 
     verify_p = sub.add_parser(

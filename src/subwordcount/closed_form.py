@@ -22,15 +22,23 @@ L = sum a_p j_p (a_p the pattern lengths) has the same g and gap factor,
 and the multinomial times the binomials is
 C(X + J, X) * multinomial(x) * multinomial(j), X = sum x_p.  Summed over
 the tuples of one (J, L), multinomial(j) is the coefficient of y ** L in
-P(y) ** J, P(y) = sum_p y ** a_p.  So the total is
+P(y) ** J, P(y) = sum_p y ** a_p.  So the total is a sum of layers
 
-  multinomial(x) * sum over (J, L) of
-      (-1) ** J * q ** g * C(X + J + g, g) * C(X + J, X) * [y ** L] P ** J
+  multinomial(x) * sum over J of (-1) ** J * C(X + J, X) *
+      sum over L of [y ** L] P ** J * w_J(free - L)
 
-with g = t - sum a_p x_p - L, which has O(t ** 2 / a_min) terms whatever
-d is.  ``per_tuple_terms`` evaluates the summation tuple by tuple; it is
-the reference, run only when a breakdown's ``terms`` are read, and that
-read checks its sum against the total.
+with free = t - sum a_p x_p and w_J(g) = q ** g * C(X + J + g, g), the
+coefficient of z ** g in (1 - q z) ** -(X + J + 1).  That is
+O(t ** 2 / a_min) (J, L) terms whatever d is.  Within a layer L runs
+over J * a_min .. J * a_max, cut at free, so g runs over consecutive
+values, and w_J(g + 1) = w_J(g) * q * (X + J + g + 1) / (g + 1) exactly:
+each layer computes one power of q and one ``multichoose``, at its
+smallest g, and reaches every other term by one small-ratio step.  A
+layer with one L, as every layer of a one-pattern or equal-length
+instance has, takes no step.  ``per_tuple_terms`` evaluates the
+summation tuple by tuple; it is the reference, run only when a
+breakdown's ``terms`` are read, and that read checks its sum against the
+total.
 
 The arithmetic sees pattern lengths only.  Whether it is the *right*
 arithmetic for an instance depends on the patterns having no borders and
@@ -99,9 +107,15 @@ def count_multi(instance: ProblemInstance) -> CountBreakdown:
 
 def _collapsed_total(instance: ProblemInstance) -> int:
     """The summation over copy-count tuples, grouped by (J, L) as the
-    module docstring derives.  ``power`` holds P(y) ** J as
-    {L: coefficient}, cut at the free length: the positions left once
-    the required copies are placed.
+    module docstring derives, one layer J at a time.
+
+    ``power`` holds [y ** L] P(y) ** J for L from J * a_min up to
+    J * a_max, cut at the free length: the positions left once the
+    required copies are placed.  Layer J is the sum over its L of that
+    coefficient times the fill weight w(g) = q ** g * C(X + J + g, g),
+    g = free - L.  The weight is computed once, at the layer's smallest
+    g, and stepped exactly, w(g + 1) = w(g) * q * (X + J + g + 1) // (g + 1),
+    towards smaller L, and never past the layer's last entry.
     """
     q = instance.alphabet_size
     required = instance.required_counts
@@ -109,25 +123,34 @@ def _collapsed_total(instance: ProblemInstance) -> int:
     free = instance.word_length - instance.minimum_occupancy
     if free < 0:
         return 0
-    pattern_poly = Counter(instance.pattern_lengths)  # P(y) as {a_p: patterns of that length}
+    shortest = min(instance.pattern_lengths)
+    # P(y) / y ** a_min as (exponent, patterns of that length) pairs
+    offsets = [(a - shortest, n) for a, n in Counter(instance.pattern_lengths).items()]
+    spread = max(instance.pattern_lengths) - shortest
 
     total = 0
-    power = {0: 1}
+    power = [1]
+    lowest = 0  # J * a_min, the L of power[0]
     extra_copies = 0  # J
     while power:
         placed = required_total + extra_copies
-        row = 0
-        for extra_length, coefficient in power.items():
-            unoccupied = free - extra_length
-            row += coefficient * q**unoccupied * multichoose(placed + 1, unoccupied)
+        unoccupied = free - lowest - len(power) + 1
+        weight = q**unoccupied * multichoose(placed + 1, unoccupied)
+        row = power[-1] * weight
+        for coefficient in power[-2::-1]:
+            unoccupied += 1
+            weight = weight * (q * (placed + unoccupied)) // unoccupied
+            if coefficient:
+                row += coefficient * weight
         row *= binomial(placed, required_total)
         total += -row if extra_copies % 2 else row
-        following: dict[int, int] = {}
-        for extra_length, coefficient in power.items():
-            for length, patterns in pattern_poly.items():
-                key = extra_length + length
-                if key <= free:
-                    following[key] = following.get(key, 0) + coefficient * patterns
+        lowest += shortest
+        following = [0] * min(len(power) + spread, free - lowest + 1)
+        for index, coefficient in enumerate(power):
+            if coefficient:
+                for offset, patterns in offsets:
+                    if index + offset < len(following):
+                        following[index + offset] += coefficient * patterns
         power = following
         extra_copies += 1
     return multinomial(required) * total

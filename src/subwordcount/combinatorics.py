@@ -4,6 +4,10 @@ Out-of-range binomials are 0 rather than errors.  The closed form passes
 only in-range arguments; ``alternating_binomial_sum`` is the one caller
 that relies on the convention, for its boundary terms.  Everything
 returns exact Python ints, never floats.
+
+The closed form calls ``multichoose`` and ``binomial`` once per copy-count
+layer J, not once per (J, L) term: within a layer it steps the fill
+weight from term to term by an exact small ratio.
 """
 
 from __future__ import annotations

@@ -170,6 +170,54 @@ class TestCount:
         )
         assert code == expected
 
+    def test_breakdown_past_the_digit_cap_exits_4_quickly(self, capsys, monkeypatch):
+        # 4,001 tuples times the 7,225 digits of 4 ** 12000; the total alone
+        # takes seconds, so the refusal comes before it
+        def refused(*args):
+            raise AssertionError("counted before refusing")
+
+        monkeypatch.setattr(cli, "count_multi", refused)
+        monkeypatch.setattr(closed_form, "per_tuple_terms", refused)
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "count", "--q", "4", "--t", "12000", "--pattern", "abc=0", "--breakdown"
+        )
+        assert time.perf_counter() - start < 0.5
+        assert code == EXIT_REFUSED
+        assert out == ""
+        assert "breakdown refused" in err and "7225 decimal digits" in err
+
+    def test_breakdown_under_the_digit_cap_is_listed(self, capsys):
+        # 1,001 tuples times the 1,807 digits of 4 ** 3000
+        code, out, _ = run(
+            capsys, "count", "--q", "4", "--t", "3000", "--pattern", "abc=0", "--breakdown"
+        )
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert [term["indices"] for term in payload["terms"]] == [[i] for i in range(1001)]
+        assert sum(int(term["value"]) for term in payload["terms"]) == int(payload["count"])
+
+    @pytest.mark.parametrize("cap, expected", [(6, EXIT_OK), (5, EXIT_REFUSED)])
+    def test_breakdown_digit_cap_is_exact(self, capsys, monkeypatch, cap, expected):
+        # ab=1 at t=6 lists 3 tuples, and 2 ** 6 has 2 digits
+        monkeypatch.setattr(cli, "BREAKDOWN_DIGIT_CAP", cap)
+        code, _, _ = run(
+            capsys, "count", "--q", "2", "--t", "6", "--pattern", "ab=1", "--breakdown"
+        )
+        assert code == expected
+
+    def test_inapplicable_breakdown_past_the_caps_exits_2(self, capsys):
+        code, out, _ = run(
+            capsys, "count", "--q", "4", "--t", "12000", "--pattern", "aba=0", "--breakdown"
+        )
+        assert code == EXIT_NOT_APPLICABLE
+        assert out == ""
+
+    def test_decimal_digits_of_powers(self):
+        for q in range(2, 37):
+            for t in (0, 1, 2, 3, 10, 99, 100, 101, 1000, 4000):
+                assert cli._decimal_digits(q, t) == len(decimal.Decimal(q**t).as_tuple().digits)
+
     @given(
         st.lists(st.tuples(st.integers(1, 4), st.integers(0, 3)), min_size=1, max_size=3),
         st.integers(0, 40),

@@ -159,12 +159,85 @@ class TestCollapsedTotal:
             8, 60, [((0, 3, 3), 1), ((1, 3, 4, 4), 2), ((2, 4, 3, 5, 5), 0)]
         )
     )
+    # layers with interior zeros, cut at the free length: lengths {1, 5}
+    # and {2, 7} at t = 30 to 60
+    @example(ProblemInstance.from_pairs(4, 30, [((0,), 2), ((1, 3, 3, 3, 3), 1)]))
+    @example(ProblemInstance.from_pairs(4, 60, [((0,), 0), ((1, 3, 2, 2, 3), 2)]))
+    @example(ProblemInstance.from_pairs(3, 31, [((0, 2), 1), ((1, 2, 2, 2, 2, 2, 2), 1)]))
+    @example(ProblemInstance.from_pairs(3, 60, [((0, 2), 3), ((1, 2, 2, 2, 2, 2, 2), 0)]))
+    # free = 0 exactly, and free < 0
+    @example(ProblemInstance.from_pairs(3, 7, [((0, 2), 1), ((1, 2, 2, 2, 2), 1)]))
+    @example(ProblemInstance.from_pairs(3, 6, [((0, 2), 1), ((1, 2, 2, 2, 2), 1)]))
+    # one symbol required t times (total 1) and t - 1 times (total t); an
+    # instance needs q >= 2, so this is the nearest to q = 1
+    @example(ProblemInstance.from_pairs(2, 9, [((0,), 9)]))
+    @example(ProblemInstance.from_pairs(2, 9, [((0,), 8)]))
     @settings(max_examples=300, deadline=None)
     def test_matches_per_tuple_sum_and_automaton(self, inst):
         assert validate_instance(inst).is_formula_applicable
         total = count_multi(inst).total
         assert total == sum(value for _, value in closed_form.per_tuple_terms(inst))
         assert total == dp_count(inst)
+
+    @given(
+        st.lists(st.integers(1, 8), min_size=1, max_size=2, unique=True),
+        st.lists(st.integers(0, 3), min_size=2, max_size=2),
+        st.integers(2, 5),
+        st.integers(0, 90),
+    )
+    @example([1, 5], [1, 1], 2, 45)
+    @example([2, 7], [0, 2], 3, 90)
+    @settings(max_examples=150, deadline=None)
+    def test_sparse_layers_match_per_tuple_sum(self, lengths, required, fillers, t):
+        # distinct lengths up to 8, so layers have gaps and long words cut
+        # them; each pattern is its own head symbol then filler symbols
+        pairs = [
+            ((head,) + (len(lengths),) * (length - 1), x)
+            for head, (length, x) in enumerate(zip(lengths, required))
+        ]
+        inst = ProblemInstance.from_pairs(len(lengths) + fillers, t, pairs)
+        total = count_multi(inst).total
+        assert total == sum(value for _, value in closed_form.per_tuple_terms(inst))
+        if t <= 30:
+            assert total == dp_count(inst)
+
+    def _count_multichoose(self, monkeypatch):
+        calls = []
+        real = closed_form.multichoose
+
+        def counted(n, k):
+            calls.append((n, k))
+            return real(n, k)
+
+        monkeypatch.setattr(closed_form, "multichoose", counted)
+        return calls
+
+    def test_one_multichoose_per_layer_on_mixed_lengths(self, monkeypatch):
+        # lengths 3 and 4 at t = 300: layer J has up to J + 1 values of L,
+        # and every one of them is a term, but only the layer calls multichoose
+        inst = ProblemInstance.from_pairs(8, 300, [((0, 2, 2), 1), ((1, 2, 2, 2), 2)])
+        calls = self._count_multichoose(monkeypatch)
+        total = count_multi(inst).total
+        free = 300 - 3 * 1 - 4 * 2
+        layers = free // 3 + 1
+        terms = sum(
+            1
+            for j in range(layers)
+            for length in range(3 * j, min(4 * j, free) + 1)
+        )
+        assert len(calls) == layers
+        assert terms > 10 * layers
+        assert total == sum(value for _, value in closed_form.per_tuple_terms(inst))
+
+    def test_one_pattern_work_is_one_multichoose_per_copy_count(self, monkeypatch):
+        # the longest benchmark CLI row: one call per term, J = 0 to free // 3,
+        # each with the arguments the paper's term has, as before layers
+        # stepped their weights
+        inst = ProblemInstance.from_pairs(36, 3855, [((0, 1, 1), 1)])
+        calls = self._count_multichoose(monkeypatch)
+        count_multi(inst).total
+        free = 3855 - 3
+        assert calls == [(1 + j + 1, free - 3 * j) for j in range(free // 3 + 1)]
 
     def test_total_never_walks_copy_count_tuples(self, monkeypatch):
         def walked(*args):
