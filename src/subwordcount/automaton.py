@@ -26,24 +26,28 @@ masks off the slots whose tallies its emitted patterns would take past
 a requirement and shifts the rest up by those patterns' strides, so one
 step is one big-int move per edge, whatever the number of tally vectors.
 
-The sweep meets in the middle.  The front half pushes mass from the
-empty prefix over the first t // 2 positions; the back half pulls, into
-every node, the mass of the words of the other t - t // 2 positions read
-from it.  No slot of either half exceeds q ** (t - t // 2), so the slots
-are half as wide as a single sweep of t steps would need, and every
-move works on ints half as long.  A word is a front half and a back
-half meeting at a node with tallies c and x - c, and x - c is c's slot
-mirrored, so the count is one sum of slot products per node, with no
-convolution.  It agrees with brute-force enumeration on every instance
-small enough to check both ways, while scaling to word lengths
-enumeration cannot touch.  All mass bookkeeping is exact integer
-arithmetic.
+The sweep meets in the middle, one step function run over the graph and
+over its transpose, which lists each move at the node it leads to,
+pointing back at the node it leaves.  The front half pushes mass from
+the empty prefix over the graph for t // 2 steps, extending words at
+their end.  The back half pushes from every node over the transpose for
+the other t - t // 2, extending words at their start, since a symbol put
+in front of a word read from a move's target emits what the move emits;
+so each node ends with the mass of the words read from it.  No slot of
+either half exceeds q ** (t - t // 2), so the slots are half as wide as
+a single sweep of t steps would need, and every move works on ints half
+as long.  A word is a front half and a back half meeting at a node with
+tallies c and x - c, and x - c is c's slot mirrored, so the count is one
+sum of slot products per node, with no convolution.  It agrees with
+brute-force enumeration on every instance small enough to check both
+ways, while scaling to word lengths enumeration cannot touch.  All mass
+bookkeeping is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .core import BudgetExceededError, ProblemInstance, require_int
@@ -188,6 +192,8 @@ class TallyGraph:
             requirement, whose mass would overshoot, and the shift, the
             emitted patterns' summed strides times the width, takes every
             other slot to the one with each emitted tally one higher.
+            In the transpose the same moves are listed at the node each
+            leads to, and point back at the node it leaves.
     """
 
     alphabet_size: int
@@ -259,12 +265,14 @@ def tally_graph(automaton: MatchAutomaton, required: Sequence[int], word_length:
 
 
 def advance_distribution(graph: TallyGraph, masses: Sequence[int]) -> list[int]:
-    """Extend every tracked word by one symbol at its end.
+    """Extend every tracked word by one symbol: push each node's mass
+    along its moves, dropping every word that overshoots a requirement.
 
-    ``masses[node]`` packs, slot by slot, how many words of the current
-    length lead from the empty prefix's node to that node with each tally
-    vector; the result holds the same for words one symbol longer,
-    dropping every word that overshoots a requirement.
+    Over the tally graph, ``masses[node]`` packs, slot by slot, how many
+    words lead from the empty prefix's node to that node with each tally
+    vector, and words grow at their end.  Over its transpose, it packs how
+    many words read from that node make each tally vector, and words grow
+    at their start.
     """
     following = [0] * len(masses)
     for mass, out in zip(masses, graph.moves):
@@ -272,28 +280,12 @@ def advance_distribution(graph: TallyGraph, masses: Sequence[int]) -> list[int]:
             for nxt, symbols, mask, shift in out:
                 # shift 0: nothing emitted, and the mask keeps every slot
                 moved = (mass & mask) << shift if shift else mass
-                following[nxt] += moved * symbols if symbols > 1 else moved
+                if symbols > 1:
+                    moved *= symbols
+                # a node's first mass is stored as is, since 0 + moved copies it
+                held = following[nxt]
+                following[nxt] = held + moved if held else moved
     return following
-
-
-def _pull_distribution(graph: TallyGraph, masses: Sequence[int]) -> list[int]:
-    """Extend every tracked word by one symbol at its start.
-
-    ``masses[node]`` packs how many words of the current length, read from
-    that node, make each tally vector; the result holds the same for
-    words one symbol longer: the node's moves, each applied to the mass
-    of the node it leads to, summed.  Words that overshoot are dropped.
-    """
-    pulled = []
-    for out in graph.moves:
-        total = 0
-        for nxt, symbols, mask, shift in out:
-            mass = masses[nxt]
-            if mass:
-                moved = (mass & mask) << shift if shift else mass
-                total += moved * symbols if symbols > 1 else moved
-        pulled.append(total)
-    return pulled
 
 
 def _join_halves(graph: TallyGraph, front: Sequence[int], back: Sequence[int]) -> int:
@@ -326,18 +318,19 @@ def dp_count(instance: ProblemInstance, step_budget: int = DEFAULT_STEP_BUDGET) 
 
     Like the brute-force oracle this accepts any pattern set; overlapping
     and self-intersecting patterns are handled by the automaton itself.
-    The sweep meets in the middle on the folded tally graph.  The front
-    half pushes mass from the empty prefix for t // 2 steps; the back
-    half pulls, into every node, the mass of the words of the remaining
-    length read from it.  Neither half holds more than q ** (t - t // 2)
-    in a slot, so the slots are half as wide as one sweep of t steps
-    needs, and every big-int move costs about half as much.  Mass that
-    would take a tally past its requirement is dropped, since such a word
-    can never meet it.  The count joins the halves at each node, front
-    slot by mirrored back slot.  A requirement past the t - len + 1
-    occurrences a word of length t has room for gives 0 without building
-    the moves, whose every node would hold prod(x + 1) slots mostly out
-    of reach.
+    The sweep meets in the middle on the folded tally graph, each step one
+    ``advance_distribution``.  The front half pushes mass from the empty
+    prefix over the graph for t // 2 steps; the back half pushes from
+    every node over the graph's transpose, built once, for the remaining
+    steps, so each node collects the mass of the words read from it.
+    Neither half holds more than q ** (t - t // 2) in a slot, so the slots
+    are half as wide as one sweep of t steps needs, and every big-int move
+    costs about half as much.  Mass that would take a tally past its
+    requirement is dropped, since such a word can never meet it.  The
+    count joins the halves at each node, front slot by mirrored back slot.
+    A requirement past the t - len + 1 occurrences a word of length t has
+    room for gives 0 without building the moves, whose every node would
+    hold prod(x + 1) slots mostly out of reach.
 
     Raises BudgetExceededError, before building the moves, when the
     predicted work, word_length * (distinct successors summed over states)
@@ -364,7 +357,12 @@ def dp_count(instance: ProblemInstance, step_budget: int = DEFAULT_STEP_BUDGET) 
     front = [1] + [0] * (len(graph.moves) - 1)  # the empty word, at node 0
     for _ in range(half):
         front = advance_distribution(graph, front)
+    into: list[list[tuple[int, int, int, int]]] = [[] for _ in graph.moves]
+    for node, out in enumerate(graph.moves):
+        for nxt, symbols, mask, shift in out:
+            into[nxt].append((node, symbols, mask, shift))
+    transpose = replace(graph, moves=tuple(map(tuple, into)))
     back = [1] * len(graph.moves)  # the empty word read from each node, in slot 0
     for _ in range(t - half):
-        back = _pull_distribution(graph, back)
+        back = advance_distribution(transpose, back)
     return _join_halves(graph, front, back)

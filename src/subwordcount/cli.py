@@ -270,28 +270,32 @@ def _copy_count_tuples(instance: ProblemInstance, cap: int) -> int:
     no further than the first total past ``cap``.
 
     A tuple adds k_p >= 0 copies to each required count, with
-    sum(a_p * k_p) at most the free length.  The shortest pattern comes
-    last, where its choices are counted at once, so each choice of the
-    others that the walk visits adds at least one tuple, and it visits at
-    most cap + 1 of them, however long the word.
+    sum(a_p * k_p) at most the free length.  The walk chooses the longer
+    patterns' copies, longest first, and counts the shortest pattern's
+    choices at once.  A choice whose remaining length is below the
+    shortest pattern is closed at once too: every later count is 0, so it
+    adds one tuple.  So each choice the walk counts adds at least one
+    tuple, and it counts at most cap + 1 of them, however long the word.
     """
     free = instance.word_length - instance.minimum_occupancy
     *longer, shortest = sorted(instance.pattern_lengths, reverse=True)
+    if free < 0:
+        return 0
     total = 0
-
-    def walk(depth: int, remaining: int) -> None:
-        nonlocal total
-        if depth == len(longer):
-            total += remaining // shortest + 1
-            return
-        for used in range(0, remaining + 1, longer[depth]):
-            walk(depth + 1, remaining - used)
-            if total > cap:
-                return
-
-    if free >= 0:
-        walk(0, free)
-    return total
+    taken: list[int] = []  # the length each chosen longer pattern's copies take
+    remaining = free
+    while True:
+        while len(taken) < len(longer) and remaining >= shortest:
+            taken.append(0)  # the next longer pattern, with no copies yet
+        total += remaining // shortest + 1
+        # one more copy of the last chosen pattern with room, dropping
+        # the choices after it
+        while taken and remaining < longer[len(taken) - 1]:
+            remaining += taken.pop()
+        if total > cap or not taken:
+            return total
+        taken[-1] += longer[len(taken) - 1]
+        remaining -= longer[len(taken) - 1]
 
 
 def _decimal_digits(q: int, t: int) -> int:

@@ -195,15 +195,18 @@ def iter_copy_counts(
         raise ValueError("specs must be nonempty")
     lengths = [spec.pattern.length for spec in specs]
     minimums = [spec.required_count for spec in specs]
-
-    def walk(position: int, remaining: int, prefix: list[int]) -> Iterator[tuple[int, ...]]:
-        if position == len(lengths):
-            yield tuple(prefix)
+    copies = list(minimums)  # the first tuple: every count at its minimum
+    free = word_length - sum(a * i for a, i in zip(lengths, copies))
+    while free >= 0:
+        yield tuple(copies)
+        # one more copy at the last position with room, as an odometer
+        # turns: each later position goes back to its minimum
+        position = len(copies) - 1
+        while position >= 0 and lengths[position] > free:
+            free += lengths[position] * (copies[position] - minimums[position])
+            copies[position] = minimums[position]
+            position -= 1
+        if position < 0:
             return
-        length = lengths[position]
-        for copies in range(minimums[position], remaining // length + 1):
-            prefix.append(copies)
-            yield from walk(position + 1, remaining - length * copies, prefix)
-            prefix.pop()
-
-    yield from walk(0, word_length, [])
+        copies[position] += 1
+        free -= lengths[position]

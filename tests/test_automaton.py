@@ -2,14 +2,17 @@ import itertools
 import time
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import subwordcount.automaton as automaton_module
 from subwordcount import (
     BudgetExceededError,
     ProblemInstance,
+    TallyGraph,
     advance_distribution,
     build_automaton,
     count_matches,
@@ -89,6 +92,33 @@ def sweep(automaton, required, t):
         masses = advance_distribution(graph, masses)
         steps.append([unpack(graph, mass) for mass in masses])
     return graph, steps
+
+
+def stepped_graphs(instance):
+    """dp_count's value and the graph of each advance_distribution call it
+    makes, in call order."""
+    graphs = []
+    step = automaton_module.advance_distribution
+
+    def counted(graph, masses):
+        graphs.append(graph)
+        return step(graph, masses)
+
+    with mock.patch.object(automaton_module, "advance_distribution", counted):
+        value = dp_count(instance)
+    return value, graphs
+
+
+def pulled(graph, masses):
+    """One step at the start of every word, written as a pull: each
+    node's moves, applied to the mass of the node each leads to, summed."""
+    totals = []
+    for out in graph.moves:
+        total = 0
+        for nxt, symbols, mask, shift in out:
+            total += ((masses[nxt] & mask) << shift) * symbols
+        totals.append(total)
+    return totals
 
 
 def slot_totals(masses):
@@ -445,6 +475,38 @@ class TestDpCount:
         )
         back = (inst.word_length - half) * sum(map(len, graph.moves))
         assert (front + back) * graph.slots <= predicted_moves(inst)
+
+    def test_both_halves_step_through_advance_distribution(self):
+        # t // 2 front steps over the graph, then t - t // 2 back steps over
+        # its transpose: the same nodes, slots and width
+        inst = ProblemInstance.from_pairs(3, 7, [((0, 1, 0), 1), ((1, 1), 2)])
+        value, graphs = stepped_graphs(inst)
+        assert value == enumerate_count(inst)
+        assert len(graphs) == 7
+        front, back = graphs[0], graphs[-1]
+        assert all(g is front for g in graphs[:3]) and all(g is back for g in graphs[3:])
+        assert isinstance(back, TallyGraph) and back is not front
+        same = ("alphabet_size", "slots", "width", "node_of")
+        assert [getattr(back, f) for f in same] == [getattr(front, f) for f in same]
+
+    @given(
+        st.integers(2, 4).flatmap(lambda q: st.tuples(st.just(q), patterns_over(q, 3))),
+        st.integers(4, 6),
+        st.lists(st.integers(0, 2), min_size=3, max_size=3),
+        st.lists(st.one_of(st.just(0), st.integers()), min_size=1, max_size=8),
+    )
+    @example((2, [(0, 0), (0, 0, 0)]), 5, [2, 1, 0], [-1, 0])  # bordered, one a prefix of the other
+    @example((3, [(0, 1, 0), (1, 0), (2,)]), 6, [1, 2, 1], [-1])  # overlapping pairs
+    @settings(max_examples=60, deadline=None)
+    def test_a_push_over_the_transpose_is_a_pull_over_the_graph(self, q_patterns, t, counts, fill):
+        # node by node, on masses that fit the slots (-1 fills every bit), zeros included
+        q, patterns = q_patterns
+        inst = ProblemInstance.from_pairs(q, t, list(zip(patterns, counts)))
+        _, graphs = stepped_graphs(inst)
+        front, back = graphs[0], graphs[-1]
+        top = (1 << (front.slots * front.width)) - 1
+        masses = [fill[k % len(fill)] & top for k in range(len(front.moves))]
+        assert advance_distribution(back, masses) == pulled(front, masses)
 
     def test_long_pattern_over_budget_is_refused_quickly(self):
         # the automaton costs states * alphabet size to build, so the

@@ -33,6 +33,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def one_symbol_patterns(tmp_path, size, length):
+    """A document of every one-symbol pattern over a ``size``-symbol
+    alphabet, each required 0 times, in words of ``length``."""
+    path = tmp_path / "instance.json"
+    patterns = [{"pattern": [s], "count": 0} for s in range(size)]
+    document = {"alphabet": {"size": size}, "length": length, "patterns": patterns}
+    path.write_text(json.dumps(document))
+    return str(path)
+
+
 class TestParseDocument:
     def test_size_alphabet_with_string_patterns(self):
         inst = parse_document(
@@ -212,6 +222,32 @@ class TestCount:
         )
         assert code == EXIT_NOT_APPLICABLE
         assert out == ""
+
+    def test_breakdown_of_1200_patterns_lists_every_term(self, capsys, tmp_path):
+        # one copy of one of the 1,200 patterns, or none: 1,201 tuples of 1,200 counts
+        path = one_symbol_patterns(tmp_path, 1200, 1)
+        code, out, err = run(capsys, "count", "--input", path, "--breakdown")
+        assert code == EXIT_OK
+        assert "Traceback" not in err
+        payload = json.loads(out)
+        assert len(payload["terms"]) == 1201
+        assert sum(int(term["value"]) for term in payload["terms"]) == int(payload["count"])
+
+    def test_breakdown_of_1200_patterns_past_the_tuple_cap_exits_4_quickly(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # C(1203, 3) tuples at t=3, far past the 10**6 cap, with 1,200 levels
+        def refused(*args):
+            raise AssertionError("counted before refusing")
+
+        monkeypatch.setattr(cli, "count_multi", refused)
+        path = one_symbol_patterns(tmp_path, 1200, 3)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "count", "--input", path, "--breakdown")
+        assert time.perf_counter() - start < 10
+        assert code == EXIT_REFUSED
+        assert out == ""
+        assert "breakdown refused" in err and "Traceback" not in err
 
     def test_decimal_digits_of_powers(self):
         for q in range(2, 37):

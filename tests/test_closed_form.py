@@ -283,6 +283,14 @@ class TestIterCopyCounts:
         specs = (PatternSpec((0, 1, 2), 4),)
         assert list(iter_copy_counts(5, specs)) == []
 
+    def test_more_patterns_than_the_recursion_limit(self):
+        # one walk level per pattern would pass Python's 1,000-frame limit
+        specs = tuple(PatternSpec((s,), 0) for s in range(1200))
+        tuples = list(iter_copy_counts(1, specs))
+        assert len(tuples) == 1201
+        assert tuples == sorted(tuples)
+        assert tuples[0] == (0,) * 1200 and tuples[-1] == (1,) + (0,) * 1199
+
     def test_no_specs_rejected(self):
         with pytest.raises(ValueError):
             list(iter_copy_counts(5, ()))
