@@ -7,7 +7,7 @@ t, with big-integer arithmetic on top.
 The same sweep is available from the command line:
 
     subwordcount bench --q 4 --t 8 --t 10 --t 12 --pattern abb=2 \
-        --method closed_form --method enumeration --method automaton --csv
+        --method closed_form --method enumeration --method automaton
 """
 
 import sys

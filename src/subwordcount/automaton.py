@@ -329,19 +329,22 @@ def dp_count(instance: ProblemInstance, step_budget: int = DEFAULT_STEP_BUDGET) 
     requirement is dropped, since such a word can never meet it.  The
     count joins the halves at each node, front slot by mirrored back slot.
     A requirement past the t - len + 1 occurrences a word of length t has
-    room for gives 0 without building the moves, whose every node would
-    hold prod(x + 1) slots mostly out of reach.
+    room for gives 0 before anything is built or the budget is checked,
+    however large the requirement.
 
-    Raises BudgetExceededError, before building the moves, when the
-    predicted work, word_length * (distinct successors summed over states)
-    * prod(x + 1) over the required counts x, exceeds ``step_budget``.  It
-    is an upper bound on the slots the two halves move: t steps between
-    them, at most one move per distinct successor of each state in each,
-    each carrying prod(x + 1) slots, and folding only removes moves.
+    Otherwise raises BudgetExceededError, before building the moves, when
+    the predicted work, word_length * (distinct successors summed over
+    states) * prod(x + 1) over the required counts x, exceeds
+    ``step_budget``.  It is an upper bound on the slots the two halves
+    move: t steps between them, at most one move per distinct successor of
+    each state in each, each carrying prod(x + 1) slots, and folding only
+    removes moves.
     """
-    automaton = build_automaton(instance.alphabet_size, instance.patterns)
     required = instance.required_counts
     t = instance.word_length
+    if any(x > max(0, t - a + 1) for a, x in zip(instance.pattern_lengths, required)):
+        return 0  # more occurrences than a word of length t has room for
+    automaton = build_automaton(instance.alphabet_size, instance.patterns)
     predicted_steps = t * sum(map(len, automaton.successors))
     for x in required:
         predicted_steps *= x + 1  # the tally domain
@@ -350,8 +353,6 @@ def dp_count(instance: ProblemInstance, step_budget: int = DEFAULT_STEP_BUDGET) 
             f"distribution sweep needs about {predicted_steps} steps, "
             f"over the budget of {step_budget}"
         )
-    if any(x > max(0, t - a + 1) for a, x in zip(instance.pattern_lengths, required)):
-        return 0  # more occurrences than a word of length t has room for
     half = t // 2
     graph = tally_graph(automaton, required, t - half)
     front = [1] + [0] * (len(graph.moves) - 1)  # the empty word, at node 0

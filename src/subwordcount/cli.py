@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 
 from .automaton import dp_count
 # count_single is not called here; perfbench/tracing.py wraps cli.count_single
-from .closed_form import count_multi, count_single  # noqa: F401
+from .closed_form import count_multi, count_single, require_applicable  # noqa: F401
 from .core import (
     BudgetExceededError,
     NotApplicableError,
@@ -161,29 +161,6 @@ def _parse_pattern_body(raw, lookup: dict[str, int] | None) -> tuple:
     return tuple(lookup[ch] for ch in raw)
 
 
-def instance_to_document(instance: ProblemInstance) -> dict:
-    """Serialize an instance back to document form.
-
-    Inverse of parse_document up to canonical form: parsing the result
-    reproduces the instance, and re-serializing changes nothing.
-    """
-    names = instance.symbol_names
-    if names is None:
-        alphabet: dict = {"size": instance.alphabet_size}
-        as_string = None
-    else:
-        alphabet = {"symbols": list(names)}
-        as_string = names if all(len(n) == 1 for n in names) else None
-    patterns = []
-    for spec in instance.specs:
-        if as_string is not None:
-            body: object = "".join(as_string[s] for s in spec.pattern.symbols)
-        else:
-            body = list(spec.pattern.symbols)
-        patterns.append({"pattern": body, "count": spec.required_count})
-    return {"alphabet": alphabet, "length": instance.word_length, "patterns": patterns}
-
-
 def report_to_document(report: ValidationReport) -> dict:
     return {
         "self_intersecting": [bool(flag) for flag in report.per_pattern_self_intersection],
@@ -306,14 +283,11 @@ def _decimal_digits(q: int, t: int) -> int:
 def _cmd_count(args) -> int:
     instance = _instance_from_args(args)
     if args.breakdown:
-        # an instance the closed form rejects exits 2, whatever its size
-        report = validate_instance(instance)
-        if not report.is_formula_applicable:
-            raise NotApplicableError(report)
         # refuse before the total, which alone takes seconds on long words
         digits = _decimal_digits(instance.alphabet_size, instance.word_length)
         cap = min(BREAKDOWN_TUPLE_CAP, BREAKDOWN_DIGIT_CAP // digits)
         if _copy_count_tuples(instance, cap) > cap:
+            require_applicable(instance)  # exit 2 outranks exit 4, whatever the size
             print(
                 f"breakdown refused: more than {cap} copy-count tuples (caps: "
                 f"{BREAKDOWN_TUPLE_CAP} tuples, and {BREAKDOWN_DIGIT_CAP} for tuples "
@@ -367,9 +341,7 @@ def _cmd_bench(args) -> int:
     methods = list(dict.fromkeys(args.method or ["closed_form"]))
     if "closed_form" in methods:
         # refuse before timing anything; the patterns, hence the report, are the same at every --t
-        report = validate_instance(instances[0])
-        if not report.is_formula_applicable:
-            raise NotApplicableError(report)
+        require_applicable(instances[0])
 
     rows = []
     for instance in instances:
@@ -527,9 +499,7 @@ def _build_parser() -> _Parser:
         parents=[instance_flags, output_flag, guard_flag],
         help="time counting methods on the instance, once per --t",
     )
-    fmt = bench_p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="JSON output")
-    fmt.add_argument("--csv", action="store_true", help="CSV output (the default)")
+    bench_p.add_argument("--json", action="store_true", help="JSON output, not CSV")
     bench_p.add_argument(
         "--method",
         action="append",

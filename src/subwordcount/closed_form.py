@@ -43,7 +43,7 @@ total.
 The arithmetic sees pattern lengths only.  Whether it is the *right*
 arithmetic for an instance depends on the patterns having no borders and
 no cross overlaps; ``count_multi`` checks that through
-``validate_instance``.  ``count_single`` is its one-pattern case, run on
+``require_applicable``.  ``count_single`` is its one-pattern case, run on
 a borderless stand-in pattern of the requested length.
 """
 
@@ -99,10 +99,18 @@ def count_multi(instance: ProblemInstance) -> CountBreakdown:
     the per-tuple summation, evaluated on first read and checked against
     the total.
     """
+    require_applicable(instance)
+    return CountBreakdown.deferred(_collapsed_total(instance), partial(per_tuple_terms, instance))
+
+
+def require_applicable(instance: ProblemInstance) -> None:
+    """Raise ``NotApplicableError``, carrying the report, unless the closed
+    form applies to ``instance``: no pattern self-intersects and no two
+    distinct patterns can overlap.  The one applicability gate: the count
+    and the CLI both pass through it."""
     report = validate_instance(instance)
     if not report.is_formula_applicable:
         raise NotApplicableError(report)
-    return CountBreakdown.deferred(_collapsed_total(instance), partial(per_tuple_terms, instance))
 
 
 def _collapsed_total(instance: ProblemInstance) -> int:

@@ -416,6 +416,14 @@ class TestDpCount:
         assert dp_count(ProblemInstance.from_pairs(2, 0, [((0,), 0)])) == 1
         assert dp_count(ProblemInstance.from_pairs(2, 0, [((0,), 1)])) == 0
 
+    def test_more_occurrences_than_room_gives_0_before_the_budget(self):
+        # 10**8 copies of ab cannot fit in 5 symbols, where the budget
+        # would predict about 3 * 10**9 steps
+        inst = ProblemInstance.from_pairs(2, 5, [((0, 1), 10**8)])
+        assert dp_count(inst) == 0
+        with mock.patch.object(automaton_module, "build_automaton", side_effect=AssertionError):
+            assert dp_count(inst, step_budget=0) == 0
+
     def test_handles_self_intersecting_patterns(self):
         inst = ProblemInstance.from_pairs(2, 4, [((0, 0), 2)])
         assert dp_count(inst) == 2

@@ -21,7 +21,6 @@ from subwordcount.cli import (
     EXIT_OK,
     EXIT_REFUSED,
     DocumentError,
-    instance_to_document,
     main,
     parse_document,
 )
@@ -104,26 +103,35 @@ class TestParseDocument:
             parse_document(document)
 
 
-class TestRoundTrip:
-    def test_parse_then_serialize_is_stable(self):
+class TestDocumentsMatchInstances:
+    def test_string_patterns_over_named_symbols(self):
         document = {
             "alphabet": {"symbols": ["A", "C", "G", "T"]},
             "length": 8,
             "patterns": [{"pattern": "ATG", "count": 2}, {"pattern": "CGT", "count": 1}],
         }
-        once = instance_to_document(parse_document(document))
-        twice = instance_to_document(parse_document(once))
-        assert once == twice == document
+        expected = ProblemInstance.from_pairs(
+            4, 8, [((0, 3, 2), 2), ((1, 2, 3), 1)], symbol_names=("A", "C", "G", "T")
+        )
+        assert parse_document(document) == expected
 
-    def test_instance_survives_the_loop(self):
-        inst = ProblemInstance.from_pairs(5, 7, [((0, 4), 1), ((2,), 3)])
-        assert parse_document(instance_to_document(inst)) == inst
+    def test_index_lists_over_a_sized_alphabet(self):
+        document = {
+            "alphabet": {"size": 5},
+            "length": 7,
+            "patterns": [{"pattern": [0, 4], "count": 1}, {"pattern": [2], "count": 3}],
+        }
+        expected = ProblemInstance.from_pairs(5, 7, [((0, 4), 1), ((2,), 3)])
+        assert parse_document(document) == expected
 
-    def test_multi_character_names_serialize_as_index_lists(self):
-        inst = ProblemInstance.from_pairs(2, 4, [((0, 1), 1)], symbol_names=("lo", "hi"))
-        document = instance_to_document(inst)
-        assert document["patterns"][0]["pattern"] == [0, 1]
-        assert parse_document(document) == inst
+    def test_multi_character_names_with_index_lists(self):
+        document = {
+            "alphabet": {"symbols": ["lo", "hi"]},
+            "length": 4,
+            "patterns": [{"pattern": [0, 1], "count": 1}],
+        }
+        expected = ProblemInstance.from_pairs(2, 4, [((0, 1), 1)], symbol_names=("lo", "hi"))
+        assert parse_document(document) == expected
 
 
 class TestCount:
@@ -345,6 +353,7 @@ class TestCount:
             ("bench", "--q", "4", "--t", "4", "--pattern", "abb=2", "--input", "x.json"),
             ("bench", "--q", "4", "--t", "4", "--pattern-length", "3"),
             ("bench", "--q", "4", "--t", "4", "--required", "2"),
+            ("bench", "--q", "4", "--t", "4", "--pattern", "abb=2", "--csv"),
         ],
     )
     def test_malformed_input_exits_1(self, capsys, argv):
@@ -404,9 +413,12 @@ class TestCount:
         for module in (cli, closed_form):
             for name in calls:
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-        code, out, _ = run(capsys, "count", "--q", "4", "--t", "30", "--pattern", "abc=2")
-        assert code == EXIT_OK
-        assert calls == {"count_multi": 1, "validate_instance": 1}
+        for flags in ((), ("--breakdown",)):
+            calls.update(dict.fromkeys(calls, 0))
+            argv = ("count", "--q", "4", "--t", "30", "--pattern", "abc=2", *flags)
+            code, out, _ = run(capsys, *argv)
+            assert code == EXIT_OK
+            assert calls == {"count_multi": 1, "validate_instance": 1}, flags
 
     def test_count_past_the_int_str_digit_limit(self, capsys):
         # 4,668 digits: str(int) refuses past 4,300, the output must not
@@ -449,6 +461,15 @@ class TestVerify:
         )
         assert code == EXIT_REFUSED
         assert "refused" in err
+
+    def test_more_occurrences_than_room_count_0_in_every_method(self, capsys):
+        # the automaton gives 0 before checking its budget, which this
+        # requirement would exceed
+        code, out, _ = run(capsys, "verify", "--q", "2", "--t", "5", "--pattern", "ab=100000000")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["values"] == {"closed_form": "0", "enumeration": "0", "automaton": "0"}
+        assert payload["agree"] is True
 
     def test_inapplicable_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "--q", "2", "--t", "6", "--pattern", "aba=1")
