@@ -47,11 +47,11 @@ huge = ProblemInstance.from_pairs(4, 200, [((0, 1, 2), 5)])
 try:
     enumerate_count(huge)
 except BudgetExceededError as err:
-    print("enumeration refused:", err)
+    print(err)
 
 print("automaton handles it: ", len(str(dp_count(huge))), "digit count")
 
 try:
     dp_count(huge, step_budget=1000)
 except BudgetExceededError as err:
-    print("tight budget refused:", err)
+    print(err)

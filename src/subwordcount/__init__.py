@@ -19,7 +19,7 @@ from .automaton import (
     dp_count,
     tally_graph,
 )
-from .closed_form import count_multi, count_single, iter_copy_counts
+from .closed_form import count_multi, count_single
 from .combinatorics import (
     alternating_binomial_sum,
     binomial,
@@ -72,7 +72,6 @@ __all__ = [
     "dp_count",
     "enumerate_count",
     "is_self_intersecting",
-    "iter_copy_counts",
     "multichoose",
     "multinomial",
     "occurrence_profile_counts",

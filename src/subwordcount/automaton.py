@@ -350,8 +350,8 @@ def dp_count(instance: ProblemInstance, step_budget: int = DEFAULT_STEP_BUDGET) 
         predicted_steps *= x + 1  # the tally domain
     if predicted_steps > step_budget:
         raise BudgetExceededError(
-            f"distribution sweep needs about {predicted_steps} steps, "
-            f"over the budget of {step_budget}"
+            f"automaton refused: the distribution sweep needs about "
+            f"{predicted_steps} steps, over the budget of {step_budget}"
         )
     half = t // 2
     graph = tally_graph(automaton, required, t - half)

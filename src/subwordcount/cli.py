@@ -12,8 +12,8 @@ Exit codes are a contract shared by every subcommand:
   2  the closed form does not apply to the instance
   3  two counting methods disagreed (the headline failure mode)
   4  refused because a work guard was exceeded: an oracle's guard or
-     budget, or the breakdown's caps on copy-count tuples and on their
-     output size
+     budget, or the breakdown's cap on its cells, copy-count tuples times
+     the pattern count plus the decimal digits of q ** t
 
 Counts are serialized as decimal strings, never JSON numbers, because the
 values routinely exceed what a double can represent faithfully.
@@ -25,7 +25,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import statistics
 import sys
 import time
@@ -33,7 +32,8 @@ from typing import Callable, Sequence
 
 from .automaton import dp_count
 # count_single is not called here; perfbench/tracing.py wraps cli.count_single
-from .closed_form import count_multi, count_single, require_applicable  # noqa: F401
+from .closed_form import BREAKDOWN_CELL_CAP, count_multi, count_single  # noqa: F401
+from .closed_form import require_applicable, require_listable
 from .core import (
     BudgetExceededError,
     NotApplicableError,
@@ -49,11 +49,6 @@ EXIT_INPUT = 1
 EXIT_NOT_APPLICABLE = 2
 EXIT_DISAGREE = 3
 EXIT_REFUSED = 4
-
-# most copy-count tuples ``count --breakdown`` lists before it refuses, and
-# most tuples times the decimal digits of q ** t, a measure of its output
-BREAKDOWN_TUPLE_CAP = 10**6
-BREAKDOWN_DIGIT_CAP = 10**7
 
 # symbol universe for string patterns when no alphabet is declared
 DEFAULT_SYMBOLS = "abcdefghijklmnopqrstuvwxyz0123456789"
@@ -242,59 +237,11 @@ def _emit(text: str, path: str | None) -> None:
         raise DocumentError(f"cannot write {path}: {exc}") from exc
 
 
-def _copy_count_tuples(instance: ProblemInstance, cap: int) -> int:
-    """How many copy-count tuples a breakdown of ``instance`` lists, counted
-    no further than the first total past ``cap``.
-
-    A tuple adds k_p >= 0 copies to each required count, with
-    sum(a_p * k_p) at most the free length.  The walk chooses the longer
-    patterns' copies, longest first, and counts the shortest pattern's
-    choices at once.  A choice whose remaining length is below the
-    shortest pattern is closed at once too: every later count is 0, so it
-    adds one tuple.  So each choice the walk counts adds at least one
-    tuple, and it counts at most cap + 1 of them, however long the word.
-    """
-    free = instance.word_length - instance.minimum_occupancy
-    *longer, shortest = sorted(instance.pattern_lengths, reverse=True)
-    if free < 0:
-        return 0
-    total = 0
-    taken: list[int] = []  # the length each chosen longer pattern's copies take
-    remaining = free
-    while True:
-        while len(taken) < len(longer) and remaining >= shortest:
-            taken.append(0)  # the next longer pattern, with no copies yet
-        total += remaining // shortest + 1
-        # one more copy of the last chosen pattern with room, dropping
-        # the choices after it
-        while taken and remaining < longer[len(taken) - 1]:
-            remaining += taken.pop()
-        if total > cap or not taken:
-            return total
-        taken[-1] += longer[len(taken) - 1]
-        remaining -= longer[len(taken) - 1]
-
-
-def _decimal_digits(q: int, t: int) -> int:
-    """Decimal digits of q ** t, from t * log10(q) (float rounding aside)."""
-    return math.floor(t * math.log10(q)) + 1
-
-
 def _cmd_count(args) -> int:
     instance = _instance_from_args(args)
     if args.breakdown:
         # refuse before the total, which alone takes seconds on long words
-        digits = _decimal_digits(instance.alphabet_size, instance.word_length)
-        cap = min(BREAKDOWN_TUPLE_CAP, BREAKDOWN_DIGIT_CAP // digits)
-        if _copy_count_tuples(instance, cap) > cap:
-            require_applicable(instance)  # exit 2 outranks exit 4, whatever the size
-            print(
-                f"breakdown refused: more than {cap} copy-count tuples (caps: "
-                f"{BREAKDOWN_TUPLE_CAP} tuples, and {BREAKDOWN_DIGIT_CAP} for tuples "
-                f"times the {digits} decimal digits of q ** t)",
-                file=sys.stderr,
-            )
-            return EXIT_REFUSED
+        require_listable(instance)
     breakdown = count_multi(instance)
     payload: dict = {"count": decimal_string(breakdown.total), "method": "closed_form"}
     if args.breakdown:
@@ -314,11 +261,7 @@ def _cmd_verify(args) -> int:
     instance = _instance_from_args(args)
     values = {}
     for name in ("closed_form", *_ORACLES[args.oracle]):
-        try:
-            values[name] = METHODS[name](instance, args.guard)
-        except BudgetExceededError as exc:
-            print(f"{name} refused: {exc}", file=sys.stderr)
-            return EXIT_REFUSED
+        values[name] = METHODS[name](instance, args.guard)
     agree = len(set(values.values())) == 1
     payload = {
         "values": {name: decimal_string(value) for name, value in values.items()},
@@ -355,7 +298,7 @@ def _cmd_bench(args) -> int:
                     value = METHODS[method](instance, args.guard)
                     durations.append(time.perf_counter() - start)
             except BudgetExceededError as exc:
-                print(f"{method} skipped t={t}: {exc}", file=sys.stderr)
+                print(f"skipped t={t}: {exc}", file=sys.stderr)
                 continue
             seen[method] = value
             rows.append(
@@ -471,8 +414,8 @@ def _build_parser() -> _Parser:
         "--breakdown",
         action="store_true",
         help=(
-            f"include every signed summation term (refused past {BREAKDOWN_TUPLE_CAP} of "
-            f"them, or past {BREAKDOWN_DIGIT_CAP} for their number times the digits of q ** t)"
+            f"include every signed summation term (refused past {BREAKDOWN_CELL_CAP} cells: "
+            "copy-count tuples times the pattern count plus the digits of q ** t)"
         ),
     )
 
@@ -535,6 +478,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NotApplicableError as exc:
         print(json.dumps(report_to_document(exc.report), indent=2), file=sys.stderr)
         return EXIT_NOT_APPLICABLE
+    except BudgetExceededError as exc:
+        print(exc, file=sys.stderr)  # the message says what refused
+        return EXIT_REFUSED
 
 
 def console_main() -> None:

@@ -38,7 +38,8 @@ layer with one L, as every layer of a one-pattern or equal-length
 instance has, takes no step.  ``per_tuple_terms`` evaluates the
 summation tuple by tuple; it is the reference, run only when a
 breakdown's ``terms`` are read, and that read checks its sum against the
-total.
+total.  It and ``count --breakdown`` first pass ``require_listable``,
+the one bound on a breakdown's size.
 
 The arithmetic sees pattern lengths only.  Whether it is the *right*
 arithmetic for an instance depends on the patterns having no borders and
@@ -51,11 +52,13 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import partial
-from math import comb
+from itertools import islice
+from math import comb, floor, log10
 from typing import Iterator, Sequence
 
 from .combinatorics import binomial, multichoose, multinomial
 from .core import (
+    BudgetExceededError,
     CountBreakdown,
     NotApplicableError,
     PatternSpec,
@@ -63,6 +66,9 @@ from .core import (
     require_int,
     validate_instance,
 )
+
+# most cells a breakdown lists: per tuple, d indices and the digits of q ** t
+BREAKDOWN_CELL_CAP = 10**7
 
 
 def count_single(
@@ -111,6 +117,34 @@ def require_applicable(instance: ProblemInstance) -> None:
     report = validate_instance(instance)
     if not report.is_formula_applicable:
         raise NotApplicableError(report)
+
+
+def require_listable(instance: ProblemInstance) -> None:
+    """Raise ``BudgetExceededError`` when the breakdown of ``instance``
+    lists more than ``BREAKDOWN_CELL_CAP`` cells, its copy-count tuples
+    times (d + the decimal digits of q ** t), or ``NotApplicableError`` in
+    its place when the closed form does not apply."""
+    d = len(instance.specs)
+    digits = _decimal_digits(instance.alphabet_size, instance.word_length)
+    limit = BREAKDOWN_CELL_CAP // (d + digits)
+    if _copy_count_tuples(instance, limit) > limit:
+        require_applicable(instance)
+        raise BudgetExceededError(
+            f"breakdown refused: more than {limit} copy-count tuples of {d + digits} "
+            f"cells each (d = {d} indices and the {digits} decimal digits of q ** t), "
+            f"past the cap of {BREAKDOWN_CELL_CAP} cells"
+        )
+
+
+def _copy_count_tuples(instance: ProblemInstance, cap: int) -> int:
+    """How many copy-count tuples a breakdown of ``instance`` lists,
+    counted no further than cap + 1."""
+    return sum(1 for _ in islice(iter_copy_counts(instance.word_length, instance.specs), cap + 1))
+
+
+def _decimal_digits(q: int, t: int) -> int:
+    """Decimal digits of q ** t, from t * log10(q) (float rounding aside)."""
+    return floor(t * log10(q)) + 1
 
 
 def _collapsed_total(instance: ProblemInstance) -> int:
@@ -170,8 +204,10 @@ def per_tuple_terms(instance: ProblemInstance) -> Iterator[tuple[tuple[int, ...]
     its total against when its terms are read.
 
     Evaluated with ``math.comb`` alone, so nothing it does passes through
-    the combinatorics helpers the total is computed with.
+    the combinatorics helpers the total is computed with.  Refuses through
+    ``require_listable`` before the first term.
     """
+    require_listable(instance)
     q, t = instance.alphabet_size, instance.word_length
     lengths = instance.pattern_lengths
     required = instance.required_counts

@@ -19,7 +19,7 @@ from . import overlap
 
 
 class BudgetExceededError(RuntimeError):
-    """An oracle refused an instance because its work bound was exceeded."""
+    """A computation refused an instance because its work bound was exceeded."""
 
 
 class NotApplicableError(ValueError):

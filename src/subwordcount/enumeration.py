@@ -40,7 +40,8 @@ def _check_guard(alphabet_size: int, word_length: int, guard: int) -> None:
         words *= alphabet_size
         if words > guard:
             raise BudgetExceededError(
-                f"enumerating {alphabet_size}**{word_length} words exceeds the guard of {guard}"
+                f"enumeration refused: {alphabet_size}**{word_length} words exceed "
+                f"the guard of {guard}"
             )
 
 

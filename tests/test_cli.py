@@ -7,13 +7,14 @@ import os
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from subwordcount import ProblemInstance, cli, closed_form, count_multi
+from subwordcount import ProblemInstance, cli, closed_form, count_multi, dp_count
 from subwordcount.cli import (
     EXIT_DISAGREE,
     EXIT_INPUT,
@@ -179,15 +180,6 @@ class TestCount:
         assert code == EXIT_OK
         assert int(json.loads(out)["count"]) > 0
 
-    @pytest.mark.parametrize("cap, expected", [(3, EXIT_OK), (2, EXIT_REFUSED)])
-    def test_breakdown_tuple_cap_is_exact(self, capsys, monkeypatch, cap, expected):
-        # ab=1 at t=6 lists the tuples [1], [2] and [3]
-        monkeypatch.setattr(cli, "BREAKDOWN_TUPLE_CAP", cap)
-        code, _, _ = run(
-            capsys, "count", "--q", "2", "--t", "6", "--pattern", "ab=1", "--breakdown"
-        )
-        assert code == expected
-
     def test_breakdown_past_the_digit_cap_exits_4_quickly(self, capsys, monkeypatch):
         # 4,001 tuples times the 7,225 digits of 4 ** 12000; the total alone
         # takes seconds, so the refusal comes before it
@@ -215,10 +207,10 @@ class TestCount:
         assert [term["indices"] for term in payload["terms"]] == [[i] for i in range(1001)]
         assert sum(int(term["value"]) for term in payload["terms"]) == int(payload["count"])
 
-    @pytest.mark.parametrize("cap, expected", [(6, EXIT_OK), (5, EXIT_REFUSED)])
-    def test_breakdown_digit_cap_is_exact(self, capsys, monkeypatch, cap, expected):
-        # ab=1 at t=6 lists 3 tuples, and 2 ** 6 has 2 digits
-        monkeypatch.setattr(cli, "BREAKDOWN_DIGIT_CAP", cap)
+    @pytest.mark.parametrize("cap, expected", [(9, EXIT_OK), (8, EXIT_REFUSED)])
+    def test_breakdown_cell_cap_is_exact(self, capsys, monkeypatch, cap, expected):
+        # ab=1 at t=6 lists 3 tuples of 1 index and the 2 digits of 2 ** 6
+        monkeypatch.setattr(closed_form, "BREAKDOWN_CELL_CAP", cap)
         code, _, _ = run(
             capsys, "count", "--q", "2", "--t", "6", "--pattern", "ab=1", "--breakdown"
         )
@@ -241,6 +233,19 @@ class TestCount:
         assert len(payload["terms"]) == 1201
         assert sum(int(term["value"]) for term in payload["terms"]) == int(payload["count"])
 
+    def test_breakdown_of_300_patterns_past_the_cell_cap_exits_4_quickly(
+        self, capsys, tmp_path
+    ):
+        # C(302, 2) = 45,451 tuples at t=2, each of 300 indices and the 5
+        # digits of 300 ** 2: under 10**6 tuples, past 10**7 cells
+        path = one_symbol_patterns(tmp_path, 300, 2)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "count", "--input", path, "--breakdown")
+        assert time.perf_counter() - start < 2
+        assert code == EXIT_REFUSED
+        assert out == ""
+        assert "breakdown refused" in err and "Traceback" not in err
+
     def test_breakdown_of_1200_patterns_past_the_tuple_cap_exits_4_quickly(
         self, capsys, monkeypatch, tmp_path
     ):
@@ -260,7 +265,8 @@ class TestCount:
     def test_decimal_digits_of_powers(self):
         for q in range(2, 37):
             for t in (0, 1, 2, 3, 10, 99, 100, 101, 1000, 4000):
-                assert cli._decimal_digits(q, t) == len(decimal.Decimal(q**t).as_tuple().digits)
+                digits = len(decimal.Decimal(q**t).as_tuple().digits)
+                assert closed_form._decimal_digits(q, t) == digits
 
     @given(
         st.lists(st.tuples(st.integers(1, 4), st.integers(0, 3)), min_size=1, max_size=3),
@@ -276,8 +282,8 @@ class TestCount:
             used += length
         instance = ProblemInstance.from_pairs(max(used, 2), t, pairs)
         listed = sum(1 for _ in closed_form.iter_copy_counts(t, instance.specs))
-        assert cli._copy_count_tuples(instance, listed) == listed
-        counted = cli._copy_count_tuples(instance, cap)
+        assert closed_form._copy_count_tuples(instance, listed) == listed
+        counted = closed_form._copy_count_tuples(instance, cap)
         assert counted == listed if listed <= cap else counted > cap
 
     def test_named_alphabet_flag(self, capsys):
@@ -470,6 +476,16 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["values"] == {"closed_form": "0", "enumeration": "0", "automaton": "0"}
         assert payload["agree"] is True
+
+    def test_automaton_refusal_exits_4(self, capsys, monkeypatch):
+        # the real sweep, with a budget nothing fits in
+        monkeypatch.setattr(cli, "dp_count", partial(dp_count, step_budget=0))
+        code, out, err = run(
+            capsys, "verify", "--q", "2", "--t", "4", "--pattern", "ab=1", "--oracle", "automaton"
+        )
+        assert code == EXIT_REFUSED
+        assert out == ""
+        assert "refused" in err and "Traceback" not in err
 
     def test_inapplicable_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "--q", "2", "--t", "6", "--pattern", "aba=1")

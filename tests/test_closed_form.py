@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from helpers import borderless_patterns, independent_pattern_pairs
 from subwordcount import (
+    BudgetExceededError,
     NotApplicableError,
     PatternSpec,
     ProblemInstance,
@@ -14,9 +15,9 @@ from subwordcount import (
     count_single,
     dp_count,
     enumerate_count,
-    iter_copy_counts,
     validate_instance,
 )
+from subwordcount.closed_form import iter_copy_counts
 
 
 class TestCountSingle:
@@ -250,6 +251,15 @@ class TestCollapsedTotal:
         assert breakdown.total == expected
         with pytest.raises(AssertionError, match="walked"):
             breakdown.terms
+
+    def test_terms_past_the_cell_cap_are_refused_on_every_read(self):
+        # 300 one-symbol patterns at t = 2: 45,451 tuples of 300 indices and
+        # the 5 decimal digits of 300 ** 2, past the 10**7 cells the cap allows
+        inst = ProblemInstance.from_pairs(300, 2, [((s,), 0) for s in range(300)])
+        breakdown = count_multi(inst)
+        for _ in range(2):
+            with pytest.raises(BudgetExceededError, match="breakdown refused"):
+                breakdown.terms
 
     def test_total_memory_stays_small_on_the_longest_cli_row(self):
         # the longest benchmark CLI row: the total's working set is a few
