@@ -1,13 +1,15 @@
 """Multi-pattern matching automaton and a counting oracle built on it.
 
-The automaton has one state per distinct pattern prefix and a dense
-transition table: reading symbol c in the state of prefix w moves to the
-state of the longest suffix of w + c that is a pattern prefix.  So
-running a word through it visits, at each position, the state of the
-longest pattern prefix ending there, and a state emits every pattern
-that is a suffix of its prefix, which reports every pattern occurrence
-exactly once.  The table is filled shortest prefix first, each row from
-rows already filled, in time proportional to states times alphabet size.
+The automaton has one state per distinct pattern prefix: reading symbol
+c in the state of prefix w moves to the state of the longest suffix of
+w + c that is a pattern prefix.  So running a word through it visits, at
+each position, the state of the longest pattern prefix ending there, and
+a state emits every pattern that is a suffix of its prefix, which
+reports every pattern occurrence exactly once.  A symbol no pattern
+holds leads every state to the root, so a state's row keeps only the
+other symbols.  Rows are filled shortest prefix first, each from rows
+already filled, in time proportional to states times the symbols the
+patterns use; the alphabet size enters only as a count.
 
 ``dp_count`` counts words by moving word-count mass through the
 automaton instead of individual words.  States with equal successor
@@ -46,7 +48,6 @@ bookkeeping is exact integer arithmetic.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -57,7 +58,7 @@ DEFAULT_STEP_BUDGET = 10**9
 
 @dataclass(frozen=True)
 class MatchAutomaton:
-    """Dense pattern-matching automaton over integer symbols.
+    """Pattern-matching automaton over integer symbols.
 
     States are the distinct pattern prefixes, numbered shortest first and,
     among prefixes of one length, in the order of the first pattern that
@@ -67,13 +68,13 @@ class MatchAutomaton:
         alphabet_size: number of symbols; transitions cover 0..alphabet_size-1.
         goto: goto[state][symbol] is the state of the longest suffix of
             the state's prefix plus the symbol that is a pattern prefix,
-            defined for every pair.
+            held only where that is not the root: absent symbols lead to 0.
         emits: emits[state] lists, in increasing order, the indices of the
             patterns that are suffixes of the state's prefix.
         pattern_count: number of patterns the automaton was built from.
         successors: successors[state] lists (next state, symbol count)
-            pairs, one per distinct next state in goto[state]; the counts
-            sum to alphabet_size.
+            pairs, one per distinct next state, in increasing order; the
+            counts sum to alphabet_size.
     """
 
     alphabet_size: int
@@ -127,20 +128,28 @@ def build_automaton(alphabet_size: int, patterns: Sequence) -> MatchAutomaton:
     # is where c leads from within[w], or the root when w is empty.  Both
     # look up only shorter prefixes, whose rows come first.
     within = [0] * len(children)
-    goto: list[tuple[int, ...]] = []
+    goto: list[dict[int, int]] = []
     emits: list[tuple[int, ...]] = []
+    successors: list[tuple[tuple[int, int], ...]] = []
     for state, below in enumerate(children):
-        fallback = goto[within[state]] if state else (0,) * alphabet_size
-        goto.append(tuple(below.get(c, fallback[c]) for c in range(alphabet_size)))
+        fallback = goto[within[state]] if state else {}
+        row = {**fallback, **below}
+        goto.append(row)
         emits.append(tuple(sorted(ends[state] + list(emits[within[state]] if state else ()))))
         for symbol, child in below.items():
-            within[child] = fallback[symbol]
+            within[child] = fallback.get(symbol, 0)
+        # a state but the root is entered only on its prefix's last symbol;
+        # the symbols the row lacks lead to the root
+        moves = [(nxt, 1) for nxt in sorted(row.values())]
+        if len(row) < alphabet_size:
+            moves.insert(0, (0, alphabet_size - len(row)))
+        successors.append(tuple(moves))
     return MatchAutomaton(
         alphabet_size=alphabet_size,
         goto=tuple(goto),
         emits=tuple(emits),
         pattern_count=len(targets),
-        successors=tuple(tuple(Counter(row).items()) for row in goto),
+        successors=tuple(successors),
     )
 
 
@@ -149,7 +158,7 @@ def count_matches(automaton: MatchAutomaton, word: Sequence[int]) -> tuple[int, 
     counts = [0] * automaton.pattern_count
     state = 0
     for symbol in word:
-        state = automaton.goto[state][symbol]
+        state = automaton.goto[state].get(symbol, 0)
         for index in automaton.emits[state]:
             counts[index] += 1
     return tuple(counts)

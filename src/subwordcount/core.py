@@ -265,13 +265,15 @@ def validate_instance(instance: ProblemInstance) -> ValidationReport:
     contains the other, or a nonempty proper suffix of one equals a prefix
     of the other).  Same-pattern adjacency is governed purely by the
     self-intersection flag, so pairs compare distinct patterns only.
-    Validation never fails; it reports.
+    A pair with no symbol in common cannot share a position and is
+    skipped.  Validation never fails; it reports.
     """
     pats = [spec.pattern.symbols for spec in instance.specs]
     self_flags = tuple(overlap.is_self_intersecting(p) for p in pats)
+    held = [frozenset(p) for p in pats]
     pairs = []
     for i in range(len(pats)):
         for j in range(i + 1, len(pats)):
-            if overlap.can_overlap(pats[i], pats[j]):
+            if not held[i].isdisjoint(held[j]) and overlap.can_overlap(pats[i], pats[j]):
                 pairs.append((i, j))
     return ValidationReport(self_flags, tuple(pairs))

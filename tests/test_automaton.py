@@ -28,7 +28,7 @@ from subwordcount import (
 def walk(automaton, word, start=0):
     state = start
     for symbol in word:
-        state = automaton.goto[state][symbol]
+        state = automaton.goto[state].get(symbol, 0)
     return state
 
 
@@ -217,7 +217,8 @@ class TestBuildAutomaton:
         auto = build_automaton(q, patterns)
         assert len(auto.successors) == auto.state_count
         for state, row in enumerate(auto.goto):
-            assert dict(auto.successors[state]) == Counter(row)
+            dense = [row.get(c, 0) for c in range(q)]
+            assert dict(auto.successors[state]) == Counter(dense)
             assert sum(symbols for _, symbols in auto.successors[state]) == q
 
     @given(pattern_sets_with_words(4))
@@ -242,6 +243,15 @@ class TestBuildAutomaton:
             assert state == state_of[longest], read
             ending = tuple(i for i, p in enumerate(patterns) if ends_with(read, p))
             assert auto.emits[state] == ending, read
+
+    def test_rows_hold_only_the_symbols_the_patterns_use(self):
+        q = 10**6
+        auto = build_automaton(q, [(0, 1)])
+        assert auto.state_count == 3
+        for state, row in enumerate(auto.goto):
+            assert set(row) <= {0, 1}
+            assert sum(symbols for _, symbols in auto.successors[state]) == q
+        assert walk(auto, (5, 0, 7, 0, 0, 1)) == 2
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -269,6 +279,29 @@ class TestCountMatches:
     @settings(max_examples=80, deadline=None)
     def test_agrees_with_direct_occurrence_counts(self, word, patterns):
         auto = build_automaton(3, patterns)
+        expected = tuple(count_occurrences(word, p) for p in patterns)
+        assert count_matches(auto, word) == expected
+
+    @given(
+        st.integers(4, 10**6).flatmap(
+            lambda q: st.tuples(
+                st.just(q),
+                st.lists(
+                    st.lists(st.integers(0, 2), min_size=1, max_size=3).map(tuple),
+                    min_size=1,
+                    max_size=3,
+                    unique=True,
+                ),
+                # words mix the patterns' symbols with ones no pattern holds
+                st.lists(st.integers(0, 2) | st.integers(3, q - 1), max_size=12),
+            )
+        )
+    )
+    @example((10**6, [(0, 1), (1, 0, 1)], [0, 1, 999_999, 1, 0, 1, 0, 1, 3, 0, 1]))
+    @settings(max_examples=80, deadline=None)
+    def test_agrees_with_direct_occurrence_counts_on_wide_alphabets(self, q_patterns_word):
+        q, patterns, word = q_patterns_word
+        auto = build_automaton(q, patterns)
         expected = tuple(count_occurrences(word, p) for p in patterns)
         assert count_matches(auto, word) == expected
 
@@ -380,7 +413,7 @@ class TestTallyGraph:
         graph = tally_graph(auto, [1], 5)
         assert graph.node_of == (0, 1, 2, 0)
         # reading 2 after 01 returns to the root's node, emitting the pattern
-        assert [(nxt, symbols) for nxt, symbols, _, _ in graph.moves[2]] == [(1, 1), (0, 2), (0, 1)]
+        assert [(nxt, symbols) for nxt, symbols, _, _ in graph.moves[2]] == [(0, 2), (1, 1), (0, 1)]
         assert [shift for nxt, _, _, shift in graph.moves[2] if nxt == 0] == [0, graph.width]
 
     def test_rejects_counts_that_do_not_fit_the_patterns(self):
@@ -515,6 +548,15 @@ class TestDpCount:
         top = (1 << (front.slots * front.width)) - 1
         masses = [fill[k % len(fill)] & top for k in range(len(front.moves))]
         assert advance_distribution(back, masses) == pulled(front, masses)
+
+    def test_wide_alphabet_over_budget_is_refused_quickly(self):
+        # the automaton's rows hold only the symbols its patterns use, so
+        # a million-symbol alphabet costs nothing before the budget check
+        inst = ProblemInstance.from_pairs(10**6, 10**6, [((0, 1), 1000)])
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError):
+            dp_count(inst)
+        assert time.perf_counter() - start < 0.05
 
     def test_long_pattern_over_budget_is_refused_quickly(self):
         # the automaton costs states * alphabet size to build, so the

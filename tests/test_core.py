@@ -1,6 +1,9 @@
 import decimal
+import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from subwordcount import (
     CountBreakdown,
@@ -10,6 +13,7 @@ from subwordcount import (
     ProblemInstance,
     ValidationReport,
     build_automaton,
+    can_overlap,
     count_single,
     occurrence_profile_counts,
     validate_instance,
@@ -238,6 +242,40 @@ class TestValidateInstance:
         assert not ValidationReport((False, False), ((0, 1),)).is_formula_applicable
         with pytest.raises(TypeError):
             ValidationReport((True,), (), True)  # no stored flag to contradict them
+
+    def test_many_patterns_on_distinct_symbols_validate_quickly(self):
+        # 719,400 pairs, none sharing a symbol, so none runs can_overlap
+        inst = ProblemInstance.from_pairs(1200, 1, [((s,), 0) for s in range(1200)])
+        start = time.perf_counter()
+        report = validate_instance(inst)
+        assert time.perf_counter() - start < 0.5
+        assert report.is_formula_applicable
+
+    @given(
+        st.integers(2, 6).flatmap(
+            lambda q: st.tuples(
+                st.just(q),
+                st.lists(
+                    st.lists(st.integers(0, q - 1), min_size=1, max_size=4).map(tuple),
+                    min_size=1,
+                    max_size=6,
+                    unique=True,
+                ),
+            )
+        )
+    )
+    @example((6, [(0, 1), (2, 3), (1, 2), (4,), (5, 4, 5)]))
+    @settings(max_examples=100, deadline=None)
+    def test_pairs_equal_an_all_pairs_overlap_check(self, q_patterns):
+        q, patterns = q_patterns
+        inst = ProblemInstance.from_pairs(q, 4, [(p, 1) for p in patterns])
+        every_pair = tuple(
+            (i, j)
+            for i in range(len(patterns))
+            for j in range(i + 1, len(patterns))
+            if can_overlap(patterns[i], patterns[j])
+        )
+        assert validate_instance(inst).cross_overlap_pairs == every_pair
 
     def test_error_carries_report(self):
         inst = ProblemInstance.from_pairs(2, 6, [((0, 0), 1)])
