@@ -51,7 +51,6 @@ a borderless stand-in pattern of the requested length.
 from __future__ import annotations
 
 from collections import Counter
-from functools import partial
 from itertools import islice
 from math import comb, floor, log10
 from typing import Iterator, Sequence
@@ -106,7 +105,7 @@ def count_multi(instance: ProblemInstance) -> CountBreakdown:
     the total.
     """
     require_applicable(instance)
-    return CountBreakdown.deferred(_collapsed_total(instance), partial(per_tuple_terms, instance))
+    return CountBreakdown.deferred(_collapsed_total(instance), per_tuple_terms, instance)
 
 
 def require_applicable(instance: ProblemInstance) -> None:

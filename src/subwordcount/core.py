@@ -171,11 +171,13 @@ class CountBreakdown:
     lexicographic order; the total is their exact integer sum.  A
     breakdown built by ``deferred`` takes its total from a faster engine
     and computes ``terms`` on first read, checks their sum against the
-    total and caches them.  Hashing and ``repr`` see the total only, and
-    equality compares totals before terms, so none of them computes a
-    deferred breakdown's terms unless two totals are equal.  Instances
-    are immutable; two threads reading ``terms`` of a deferred breakdown
-    at once may both compute it, to the same value.
+    total and caches them.  Hashing and ``repr`` see the total only.
+    Equality compares totals first; two deferred breakdowns of equal
+    totals whose terms come from the same reference on equal arguments
+    are equal without computing them, and other pairs with equal totals
+    compare terms.  Instances are immutable; two threads reading
+    ``terms`` of a deferred breakdown at once may both compute it, to the
+    same value.
     """
 
     def __init__(self, total: int, terms: Iterable[tuple[tuple[int, ...], int]]):
@@ -194,24 +196,26 @@ class CountBreakdown:
 
     @classmethod
     def deferred(
-        cls, total: int, reference: Callable[[], Iterable[tuple[tuple[int, ...], int]]]
+        cls, total: int, reference: Callable[..., Iterable[tuple[tuple[int, ...], int]]], *args
     ) -> "CountBreakdown":
-        """A breakdown of ``total`` whose terms ``reference()`` yields when
-        ``terms`` is first read; that read raises ValueError if they do not
-        sum to ``total``."""
+        """A breakdown of ``total`` whose terms ``reference(*args)`` yields
+        when ``terms`` is first read; that read raises ValueError if they
+        do not sum to ``total``.  ``reference`` must give equal terms for
+        equal arguments."""
         breakdown = cls.__new__(cls)
-        breakdown._fill(total, None, reference)
+        breakdown._fill(total, None, (reference, args))
         return breakdown
 
-    def _fill(self, total, terms, reference) -> None:
+    def _fill(self, total, terms, source) -> None:
         if total < 0:
             raise ValueError("negative total: formula applied outside its domain")
-        vars(self).update(total=total, _terms=terms, _reference=reference)
+        vars(self).update(total=total, _terms=terms, _source=source)
 
     @property
     def terms(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         if self._terms is None:
-            terms = _term_tuple(self._reference())
+            reference, args = self._source
+            terms = _term_tuple(reference(*args))
             if self.total != sum(value for _, value in terms):
                 raise ValueError("the terms do not sum to the total")
             vars(self)["_terms"] = terms
@@ -226,8 +230,13 @@ class CountBreakdown:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        # totals first: unequal totals settle it without reading terms
-        return self.total == other.total and self.terms == other.terms
+        # totals first, then the terms' source: neither reads the terms,
+        # which a breakdown past its cell cap refuses to list
+        if self.total != other.total:
+            return False
+        if self._source is not None and self._source == other._source:
+            return True
+        return self.terms == other.terms
 
     def __hash__(self):
         return hash(self.total)  # equal breakdowns have equal totals

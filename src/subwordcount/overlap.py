@@ -68,8 +68,9 @@ def border_profile(pattern) -> BorderProfile:
 
 
 def is_self_intersecting(pattern) -> bool:
-    """True when the pattern has any proper nonempty border."""
-    return bool(border_profile(pattern).border_lengths)
+    """True when the pattern has any proper nonempty border, that is when
+    its longest border is nonempty."""
+    return _failure_function(_symbols(pattern))[-1] > 0
 
 
 def can_overlap(first, second) -> bool:

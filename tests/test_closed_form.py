@@ -261,6 +261,12 @@ class TestCollapsedTotal:
             with pytest.raises(BudgetExceededError, match="breakdown refused"):
                 breakdown.terms
 
+    def test_breakdowns_past_the_cell_cap_compare_without_listing_terms(self):
+        inst = ProblemInstance.from_pairs(300, 2, [((s,), 0) for s in range(300)])
+        assert count_multi(inst) == count_multi(inst)
+        same = ProblemInstance.from_pairs(300, 2, [((s,), 0) for s in range(300)])
+        assert count_multi(inst) == count_multi(same)
+
     def test_total_memory_stays_small_on_the_longest_cli_row(self):
         # the longest benchmark CLI row: the total's working set is a few
         # tens of kB; one big integer kept per free position (3,853 of

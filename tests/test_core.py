@@ -189,6 +189,24 @@ class TestCountBreakdown:
         assert b != CountBreakdown.deferred(11, reference)
         assert b != CountBreakdown.from_terms([((0,), 11)])
 
+    def test_deferred_breakdowns_of_one_source_are_equal_unread(self):
+        def reference(n):
+            raise AssertionError("the per-tuple reference must not run")
+
+        a = CountBreakdown.deferred(10, reference, (0, 1))
+        assert a == CountBreakdown.deferred(10, reference, (0, 1))
+        assert a != CountBreakdown.deferred(11, reference, (0, 1))
+
+    def test_deferred_breakdowns_of_other_sources_compare_terms(self):
+        def reference(n):
+            return [((n,), 10)]
+
+        a = CountBreakdown.deferred(10, reference, 0)
+        assert a != CountBreakdown.deferred(10, reference, 1)
+        assert a == CountBreakdown.deferred(10, lambda: [((0,), 10)])
+        assert a == CountBreakdown.from_terms([((0,), 10)])
+        assert a.terms == (((0,), 10),)
+
     def test_repr_shows_totals_past_the_int_digit_limit(self):
         b = count_single(36, 3000, 3, 2)
         text = repr(b)

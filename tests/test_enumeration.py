@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,10 +8,44 @@ from hypothesis import strategies as st
 from subwordcount import (
     BudgetExceededError,
     ProblemInstance,
+    can_overlap,
     count_occurrences,
     enumerate_count,
+    is_self_intersecting,
     occurrence_profile_counts,
 )
+
+
+def product_loop_profiles(q, t, patterns):
+    """The definitional reference: every word from ``itertools.product``,
+    every pattern counted in it by ``count_occurrences``."""
+    histogram = {}
+    for word in itertools.product(range(q), repeat=t):
+        profile = tuple(count_occurrences(word, pattern) for pattern in patterns)
+        histogram[profile] = histogram.get(profile, 0) + 1
+    return histogram
+
+
+def random_instances(count, seed):
+    """(q, t, patterns) with q 2-5, t 0-7, q ** t <= 4096 and 1-3 distinct
+    patterns of length 1 to t + 2; half of them draw their symbols from
+    {0, 1} only, so borders and overlaps are common."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        q, t = rng.randint(2, 5), rng.randint(0, 7)
+        if q**t > 4096:
+            continue
+        width = rng.choice([2, q])
+        d, patterns = rng.randint(1, 3), set()
+        while len(patterns) < d:
+            length = rng.randint(1, t + 2)
+            patterns.add(tuple(rng.randrange(width) for _ in range(length)))
+        cases.append((q, t, sorted(patterns)))
+    return cases
+
+
+REFERENCE_CASES = random_instances(200, 20261019)
 
 
 class TestCountOccurrences:
@@ -129,3 +166,23 @@ class TestOccurrenceProfileCounts:
         patterns = list(dict.fromkeys(tuple(min(s, q - 1) for s in p) for p in patterns))
         hist = occurrence_profile_counts(q, t, patterns)
         assert sum(hist.values()) == q**t
+
+
+class TestAgainstTheProductLoop:
+    def test_cases_hold_bordered_overlapping_and_long_patterns(self):
+        patterns = [(t, p) for _, t, ps in REFERENCE_CASES for p in ps]
+        assert sum(is_self_intersecting(p) for _, p in patterns) >= 50
+        assert sum(len(p) > t for t, p in patterns) >= 50
+        pairs = [pair for _, _, ps in REFERENCE_CASES for pair in itertools.combinations(ps, 2)]
+        assert sum(can_overlap(a, b) for a, b in pairs) >= 50
+
+    def test_profiles_match_the_product_loop(self):
+        rng = random.Random(7)
+        for q, t, patterns in REFERENCE_CASES:
+            histogram = occurrence_profile_counts(q, t, patterns)
+            assert histogram == product_loop_profiles(q, t, patterns), (q, t, patterns)
+            profile = rng.choice(sorted(histogram))
+            inst = ProblemInstance.from_pairs(q, t, list(zip(patterns, profile)))
+            assert enumerate_count(inst) == histogram[profile], (q, t, patterns, profile)
+            absent = ProblemInstance.from_pairs(q, t, [(p, t + 1) for p in patterns])
+            assert enumerate_count(absent) == 0
