@@ -21,8 +21,7 @@ from subwordcount import (
 # A border is a proper prefix that is also a suffix.  ABAB has one of
 # length 2, so two copies can overlap: ABABAB holds it at positions 0 and 2.
 for word in ("abab", "aaaa", "abc", "abacaba"):
-    profile = border_profile(word)
-    print(f"border lengths of {word!r}: {sorted(profile.border_lengths) or 'none'}")
+    print(f"border lengths of {word!r}: {sorted(border_profile(word)) or 'none'}")
 print()
 
 # Cross-overlap: a suffix of one pattern is a prefix of the other, or one

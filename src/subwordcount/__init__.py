@@ -42,12 +42,11 @@ from .enumeration import (
     enumerate_count,
     occurrence_profile_counts,
 )
-from .overlap import BorderProfile, border_profile, can_overlap, is_self_intersecting
+from .overlap import border_profile, can_overlap, is_self_intersecting
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BorderProfile",
     "BudgetExceededError",
     "CountBreakdown",
     "DEFAULT_GUARD",

@@ -205,6 +205,11 @@ def _document_from_flags(args, length: int | None) -> dict:
         alphabet: dict = {"symbols": list(args.alphabet)}
     elif args.q is None:
         raise DocumentError("give --q N or --alphabet SYMBOLS")
+    elif args.q > len(DEFAULT_SYMBOLS):
+        raise DocumentError(
+            f"--q {args.q} exceeds the {len(DEFAULT_SYMBOLS)} unnamed symbols a..z0..9: "
+            "name them with --alphabet, or give index-list patterns in an --input document"
+        )
     else:
         alphabet = {"size": args.q}
     patterns = []

@@ -169,30 +169,27 @@ class CountBreakdown:
 
     ``terms`` holds one entry per feasible copy-count tuple, in
     lexicographic order; the total is their exact integer sum.  A
-    breakdown built by ``deferred`` takes its total from a faster engine
-    and computes ``terms`` on first read, checks their sum against the
-    total and caches them.  Hashing and ``repr`` see the total only.
-    Equality compares totals first; two deferred breakdowns of equal
-    totals whose terms come from the same reference on equal arguments
-    are equal without computing them, and other pairs with equal totals
-    compare terms.  Instances are immutable; two threads reading
-    ``terms`` of a deferred breakdown at once may both compute it, to the
-    same value.
+    breakdown stores its total and the source of its terms, a reference
+    and its arguments; ``terms`` calls the source once, checks the sum
+    against the total and caches it.  Listed terms are their own source,
+    read at construction; ``deferred`` takes its total from a faster
+    engine and leaves the terms unread.  Equality compares totals and
+    sources, never terms: breakdowns from one reference on equal
+    arguments are equal, other sources differ even where the terms
+    agree.  Hashing and ``repr`` see the total only.  Instances are
+    immutable; two threads reading ``terms`` of a deferred breakdown at
+    once may both compute it, to the same value.
     """
 
     def __init__(self, total: int, terms: Iterable[tuple[tuple[int, ...], int]]):
-        terms = _term_tuple(terms)
-        if total != sum(value for _, value in terms):
-            raise ValueError("total does not equal the sum of the terms")
-        self._fill(total, terms, None)
+        self._hold(total, (_term_tuple, (_term_tuple(terms),)))
+        self.terms  # lists the terms, checks their sum against the total
 
     @classmethod
     def from_terms(cls, terms: Iterable[tuple[tuple[int, ...], int]]) -> "CountBreakdown":
         """The breakdown whose total is the sum of ``terms``."""
-        terms = _term_tuple(terms)
-        breakdown = cls.__new__(cls)
-        breakdown._fill(sum(value for _, value in terms), terms, None)
-        return breakdown
+        terms = tuple(terms)
+        return cls(sum(value for _, value in terms), terms)
 
     @classmethod
     def deferred(
@@ -203,13 +200,13 @@ class CountBreakdown:
         do not sum to ``total``.  ``reference`` must give equal terms for
         equal arguments."""
         breakdown = cls.__new__(cls)
-        breakdown._fill(total, None, (reference, args))
+        breakdown._hold(total, (reference, args))
         return breakdown
 
-    def _fill(self, total, terms, source) -> None:
+    def _hold(self, total, source) -> None:
         if total < 0:
             raise ValueError("negative total: formula applied outside its domain")
-        vars(self).update(total=total, _terms=terms, _source=source)
+        vars(self).update(total=total, _terms=None, _source=source)
 
     @property
     def terms(self) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -230,13 +227,8 @@ class CountBreakdown:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        # totals first, then the terms' source: neither reads the terms,
-        # which a breakdown past its cell cap refuses to list
-        if self.total != other.total:
-            return False
-        if self._source is not None and self._source == other._source:
-            return True
-        return self.terms == other.terms
+        # the terms stay unread: a breakdown past its cell cap refuses to list them
+        return self.total == other.total and self._source == other._source
 
     def __hash__(self):
         return hash(self.total)  # equal breakdowns have equal totals

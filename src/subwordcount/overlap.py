@@ -18,16 +18,7 @@ elements compare by equality, so tests can use strings directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
-
-
-@dataclass(frozen=True)
-class BorderProfile:
-    """All proper nonempty border lengths of one pattern."""
-
-    pattern_length: int
-    border_lengths: frozenset[int]
 
 
 def _symbols(pattern) -> tuple:
@@ -50,8 +41,8 @@ def _failure_function(seq: Sequence) -> list[int]:
     return fail
 
 
-def border_profile(pattern) -> BorderProfile:
-    """Find every k with 0 < k < len(pattern) such that the length-k prefix
+def border_profile(pattern) -> frozenset[int]:
+    """Every k with 0 < k < len(pattern) such that the length-k prefix
     equals the length-k suffix.
 
     One failure-function pass; the border lengths are the chain of failure
@@ -64,7 +55,7 @@ def border_profile(pattern) -> BorderProfile:
     while k > 0:
         lengths.add(k)
         k = fail[k - 1]
-    return BorderProfile(len(seq), frozenset(lengths))
+    return frozenset(lengths)
 
 
 def is_self_intersecting(pattern) -> bool:

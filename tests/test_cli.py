@@ -293,6 +293,14 @@ class TestCount:
         assert code == EXIT_OK
         assert int(json.loads(out)["count"]) > 0
 
+    def test_inline_alphabets_past_the_unnamed_symbols_point_to_alphabet_or_input(self, capsys):
+        # inline patterns are strings, so "use index lists" gave no way out
+        code, out, err = run(capsys, "count", "--q", "40", "--t", "3", "--pattern", "ab=1")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "--alphabet" in err and "--input" in err
+        assert "use index lists" not in err
+
     def test_inapplicable_reports_and_exits_2(self, capsys):
         code, out, err = run(capsys, "count", "--q", "2", "--t", "4", "--pattern", "aa=1")
         assert code == EXIT_NOT_APPLICABLE

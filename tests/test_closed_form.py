@@ -267,6 +267,18 @@ class TestCollapsedTotal:
         same = ProblemInstance.from_pairs(300, 2, [((s,), 0) for s in range(300)])
         assert count_multi(inst) == count_multi(same)
 
+    def test_breakdowns_of_other_instances_past_the_cell_cap_are_unequal_unread(self):
+        # every word holds some symbol, so all three totals are 0, and
+        # listing any of their terms is refused
+        pairs = [((s,), 0) for s in range(300)]
+        names = tuple(f"s{s}" for s in range(300))
+        short = count_multi(ProblemInstance.from_pairs(300, 2, pairs))
+        longer = count_multi(ProblemInstance.from_pairs(300, 3, pairs))
+        named = count_multi(ProblemInstance.from_pairs(300, 2, pairs, symbol_names=names))
+        assert short.total == longer.total == named.total == 0
+        assert short != longer
+        assert short != named
+
     def test_total_memory_stays_small_on_the_longest_cli_row(self):
         # the longest benchmark CLI row: the total's working set is a few
         # tens of kB; one big integer kept per free position (3,853 of

@@ -177,7 +177,7 @@ class TestCountBreakdown:
         assert b.terms == (((2,), 12), ((3,), -2))
         assert b.terms is b.terms
         assert calls == [1]
-        assert b == CountBreakdown.from_terms([((2,), 12), ((3,), -2)])
+        assert b.terms == CountBreakdown.from_terms([((2,), 12), ((3,), -2)]).terms
 
     def test_repr_hash_and_unequal_totals_leave_the_reference_unread(self):
         def reference():
@@ -203,9 +203,17 @@ class TestCountBreakdown:
 
         a = CountBreakdown.deferred(10, reference, 0)
         assert a != CountBreakdown.deferred(10, reference, 1)
-        assert a == CountBreakdown.deferred(10, lambda: [((0,), 10)])
-        assert a == CountBreakdown.from_terms([((0,), 10)])
+        assert a.terms == CountBreakdown.deferred(10, lambda: [((0,), 10)]).terms
+        assert a.terms == CountBreakdown.from_terms([((0,), 10)]).terms
         assert a.terms == (((0,), 10),)
+
+    def test_deferred_breakdowns_of_other_arguments_are_unequal_unread(self):
+        def reference(n):
+            raise AssertionError("the per-tuple reference must not run")
+
+        a = CountBreakdown.deferred(10, reference, 0)
+        assert a != CountBreakdown.deferred(10, reference, 1)
+        assert a != CountBreakdown.from_terms([((0,), 10)])
 
     def test_repr_shows_totals_past_the_int_digit_limit(self):
         b = count_single(36, 3000, 3, 2)
