@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import statistics
@@ -366,7 +367,13 @@ def _int_at_least(low: int) -> Callable[[str], int]:
     return parse
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command line parser, built on first use and shared by every
+    later ``main`` call: building it costs over ten parses.  Sharing is
+    safe because parsing leaves it unchanged: each parse starts a fresh
+    namespace from the defaults, appended flags default to None, and
+    ``_Parser.error`` raises where argparse would exit."""
     parser = _Parser(
         prog="subwordcount",
         description=(

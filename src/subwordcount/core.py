@@ -12,7 +12,8 @@ unrestricted concurrent use is safe.
 from __future__ import annotations
 
 import decimal
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from . import overlap
@@ -164,6 +165,7 @@ class ProblemInstance:
         return sum(s.pattern.length * s.required_count for s in self.specs)
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class CountBreakdown:
     """Exact total plus the signed value of every summation term.
 
@@ -180,6 +182,9 @@ class CountBreakdown:
     immutable; two threads reading ``terms`` of a deferred breakdown at
     once may both compute it, to the same value.
     """
+
+    total: int
+    _source: tuple = field(hash=False)
 
     def __init__(self, total: int, terms: Iterable[tuple[tuple[int, ...], int]]):
         self._hold(total, (_term_tuple, (_term_tuple(terms),)))
@@ -206,32 +211,16 @@ class CountBreakdown:
     def _hold(self, total, source) -> None:
         if total < 0:
             raise ValueError("negative total: formula applied outside its domain")
-        vars(self).update(total=total, _terms=None, _source=source)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "_source", source)
 
-    @property
+    @cached_property
     def terms(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        if self._terms is None:
-            reference, args = self._source
-            terms = _term_tuple(reference(*args))
-            if self.total != sum(value for _, value in terms):
-                raise ValueError("the terms do not sum to the total")
-            vars(self)["_terms"] = terms
-        return self._terms
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        # the terms stay unread: a breakdown past its cell cap refuses to list them
-        return self.total == other.total and self._source == other._source
-
-    def __hash__(self):
-        return hash(self.total)  # equal breakdowns have equal totals
+        reference, args = self._source
+        terms = _term_tuple(reference(*args))
+        if self.total != sum(value for _, value in terms):
+            raise ValueError("the terms do not sum to the total")
+        return terms
 
     def __repr__(self):
         return f"CountBreakdown(total={decimal_string(self.total)})"

@@ -787,16 +787,77 @@ class TestExitContract:
         assert code in {EXIT_OK, EXIT_INPUT, EXIT_NOT_APPLICABLE, EXIT_DISAGREE, EXIT_REFUSED}
 
 
-@pytest.mark.parametrize("module", ["subwordcount", "subwordcount.cli"])
-def test_python_dash_m_runs_the_cli(module):
+def run_fresh(module, *argv):
+    """``python -m module argv`` in a new interpreter, on this checkout."""
     src = Path(cli.__file__).resolve().parent.parent
-    result = subprocess.run(
-        [sys.executable, "-m", module, "validate", "--q", "2", "--t", "4",
-         "--pattern", "aba=1"],
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(src)},
         timeout=60,
     )
+
+
+class TestSharedParser:
+    def test_main_builds_the_parser_once(self, capsys):
+        cli._build_parser.cache_clear()
+        for _ in range(3):
+            run(capsys, "count", "--q", "2", "--t", "4", "--pattern", "ab=1")
+        run(capsys, "count", "--no-such-flag")
+        assert cli._build_parser.cache_info().misses == 1
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_calls_after_a_failed_parse_match_a_fresh_interpreter(self, capsys):
+        cli._build_parser.cache_clear()
+        assert run(capsys, "verify", "--q", "2", "--t", "4", "--guard", "-1")[0] == EXIT_INPUT
+        calls = [
+            ["count", "--q", "4", "--t", "7", "--pattern", "ab=1", "--pattern", "cd=0"],
+            ["count", "--q", "2", "--t", "7", "--pattern", "aba=1"],
+            ["count", "--q", "2", "--t", "5", "--pattern", "ab=1", "--breakdown"],
+            ["verify", "--q", "3", "--t", "6", "--pattern", "ab=1", "--oracle", "enum"],
+            ["validate", "--q", "2", "--t", "6", "--pattern", "aba=2"],
+            ["validate", "--alphabet", "ACGT", "--t", "6", "--pattern", "ATG=1"],
+        ]
+        for argv in calls:
+            fresh = run_fresh("subwordcount", *argv)
+            assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+    def test_no_flag_or_default_carries_over_between_calls(self, capsys, monkeypatch):
+        first = [
+            "bench", "--q", "2", "--t", "4", "--t", "6", "--pattern", "ab=1",
+            "--method", "closed_form", "--method", "automaton",
+            "--reps", "1", "--guard", "0", "--json",
+        ]
+        second = ["bench", "--q", "2", "--t", "5", "--pattern", "ab=1",
+                  "--method", "enumeration", "--json"]
+        code, out, _ = run(capsys, *first)
+        assert code == EXIT_OK
+        assert [(r["method"], r["t"]) for r in json.loads(out)["rows"]] == [
+            ("closed_form", 4), ("automaton", 4), ("closed_form", 6), ("automaton", 6)
+        ]
+
+        timed = []
+        enumeration = cli.METHODS["enumeration"]
+        monkeypatch.setitem(
+            cli.METHODS, "enumeration", lambda *args: timed.append(args) or enumeration(*args)
+        )
+        code, out, _ = run(capsys, *second)
+        assert code == EXIT_OK  # a guard of 0 left from the first call would refuse
+        rows = json.loads(out)["rows"]
+        assert [(r["method"], r["t"], r["pattern_lengths"]) for r in rows] == [
+            ("enumeration", 5, [2])
+        ]
+        assert len(timed) == 3  # the default --reps, not the first call's 1
+        assert timed[0][1] == cli.DEFAULT_GUARD
+
+        shared = cli._build_parser()
+        shared.parse_args(first)
+        assert shared.parse_args(second) == cli._build_parser.__wrapped__().parse_args(second)
+
+
+@pytest.mark.parametrize("module", ["subwordcount", "subwordcount.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    result = run_fresh(module, "validate", "--q", "2", "--t", "4", "--pattern", "aba=1")
     assert result.returncode == EXIT_NOT_APPLICABLE
     assert json.loads(result.stdout)["self_intersecting"] == [True]

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import pytest
@@ -293,7 +294,40 @@ class TestCollapsedTotal:
         assert peak < 1_000_000
 
 
+def odometer_copy_counts(word_length, specs):
+    """The reference walker: an odometer that steps back over every
+    trailing position, one at a time, to find one with room."""
+    lengths = [spec.pattern.length for spec in specs]
+    minimums = [spec.required_count for spec in specs]
+    copies = list(minimums)
+    free = word_length - sum(a * i for a, i in zip(lengths, copies))
+    while free >= 0:
+        yield tuple(copies)
+        position = len(copies) - 1
+        while position >= 0 and lengths[position] > free:
+            free += lengths[position] * (copies[position] - minimums[position])
+            copies[position] = minimums[position]
+            position -= 1
+        if position < 0:
+            return
+        copies[position] += 1
+        free -= lengths[position]
+
+
 class TestIterCopyCounts:
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_matches_the_odometer_walk(self, mixed):
+        rng = random.Random(int(mixed))
+        for _ in range(1000):
+            d = rng.randint(1, 7)
+            if mixed:
+                lengths = [rng.randint(1, 5) for _ in range(d)]
+            else:
+                lengths = [rng.randint(1, 3)] * d
+            specs = [PatternSpec((0,) * a, rng.randint(0, 2)) for a in lengths]
+            t = rng.randint(0, 20)
+            assert list(iter_copy_counts(t, specs)) == list(odometer_copy_counts(t, specs))
+
     def test_single_pattern_range(self):
         specs = (PatternSpec((0, 1), 2),)
         assert list(iter_copy_counts(9, specs)) == [(2,), (3,), (4,)]
