@@ -10,13 +10,12 @@ rejected instances can still be counted, just not in closed form.
 from subwordcount import (
     NotApplicableError,
     ProblemInstance,
-    border_profile,
-    can_overlap,
     count_multi,
     dp_count,
     enumerate_count,
     validate_instance,
 )
+from subwordcount.overlap import border_profile, can_overlap
 
 # A border is a proper prefix that is also a suffix.  ABAB has one of
 # length 2, so two copies can overlap: ABABAB holds it at positions 0 and 2.

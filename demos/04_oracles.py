@@ -9,14 +9,8 @@ jobs explicitly instead of running forever.
 
 import time
 
-from subwordcount import (
-    BudgetExceededError,
-    ProblemInstance,
-    build_automaton,
-    count_matches,
-    dp_count,
-    enumerate_count,
-)
+from subwordcount import BudgetExceededError, ProblemInstance, dp_count, enumerate_count
+from subwordcount.automaton import build_automaton, count_matches
 
 inst = ProblemInstance.from_pairs(3, 9, [((0, 1), 1), ((2, 1), 2)])
 
@@ -33,8 +27,8 @@ print(f"automaton:   {clever}  ({clever_time * 1000:.1f} ms)")
 print()
 
 # The automaton itself is a small reusable object: one state per pattern
-# prefix, dense transitions, and emit sets.  Scanning a word gives
-# per-pattern counts.
+# prefix, sparse transition rows (a symbol absent from a row leads back
+# to the root), and emit sets.  Scanning a word gives per-pattern counts.
 auto = build_automaton(3, [(0, 1), (2, 1)])
 word = (0, 1, 2, 1, 0, 1, 2, 1, 1)
 print(f"automaton has {auto.state_count} states")

@@ -482,7 +482,10 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # --help; bad flags raise DocumentError instead
+            return exc.code
         return _COMMANDS[args.command](args)
     except DocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)

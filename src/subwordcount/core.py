@@ -142,10 +142,6 @@ class ProblemInstance:
         return cls(alphabet_size, word_length, specs, names)
 
     @property
-    def pattern_count(self) -> int:
-        return len(self.specs)
-
-    @property
     def patterns(self) -> tuple[Pattern, ...]:
         return tuple(spec.pattern for spec in self.specs)
 

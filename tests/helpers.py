@@ -2,7 +2,7 @@
 
 import itertools
 
-from subwordcount import can_overlap, is_self_intersecting
+from subwordcount.overlap import can_overlap, is_self_intersecting
 
 
 def all_patterns(alphabet_size: int, max_length: int) -> list[tuple[int, ...]]:

@@ -14,15 +14,14 @@ import time
 from helpers import borderless_patterns, independent_pattern_pairs
 from subwordcount import (
     ProblemInstance,
-    alternating_binomial_sum,
-    binomial,
     closed_form,
     count_multi,
     count_single,
     dp_count,
     enumerate_count,
-    occurrence_profile_counts,
 )
+from subwordcount.combinatorics import alternating_binomial_sum, binomial
+from subwordcount.enumeration import occurrence_profile_counts
 
 
 def conclude(number: int, ok: bool, detail: str) -> None:

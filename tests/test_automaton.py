@@ -12,17 +12,18 @@ import subwordcount.automaton as automaton_module
 from subwordcount import (
     BudgetExceededError,
     ProblemInstance,
+    count_multi,
+    dp_count,
+    enumerate_count,
+)
+from subwordcount.automaton import (
     TallyGraph,
     advance_distribution,
     build_automaton,
     count_matches,
-    count_multi,
-    count_occurrences,
-    dp_count,
-    enumerate_count,
-    occurrence_profile_counts,
     tally_graph,
 )
+from subwordcount.enumeration import count_occurrences, occurrence_profile_counts
 
 
 def walk(automaton, word, start=0):

@@ -855,6 +855,18 @@ class TestSharedParser:
         shared.parse_args(first)
         assert shared.parse_args(second) == cli._build_parser.__wrapped__().parse_args(second)
 
+    def test_help_returns_zero_and_leaves_the_parser_usable(self, capsys):
+        for argv, usage in (
+            (["--help"], "usage: subwordcount ["),
+            (["count", "--help"], "usage: subwordcount count ["),
+        ):
+            code, out, _ = run(capsys, *argv)
+            assert code == EXIT_OK
+            assert out.startswith(usage)
+        code, out, _ = run(capsys, "count", "--q", "2", "--t", "4", "--pattern", "ab=1")
+        assert code == EXIT_OK
+        assert json.loads(out)["count"] == "10"
+
 
 @pytest.mark.parametrize("module", ["subwordcount", "subwordcount.cli"])
 def test_python_dash_m_runs_the_cli(module):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from subwordcount import (
+from subwordcount.combinatorics import (
     alternating_binomial_sum,
     binomial,
     multichoose,

@@ -6,18 +6,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subwordcount import (
-    CountBreakdown,
     NotApplicableError,
     Pattern,
     PatternSpec,
     ProblemInstance,
     ValidationReport,
-    build_automaton,
-    can_overlap,
     count_single,
-    occurrence_profile_counts,
     validate_instance,
 )
+from subwordcount.automaton import build_automaton
+from subwordcount.core import CountBreakdown
+from subwordcount.enumeration import occurrence_profile_counts
+from subwordcount.overlap import can_overlap
 
 # each validated entry point, built from valid defaults, with its integer fields
 SINGLE_ARGS = {"alphabet_size": 2, "word_length": 4, "pattern_length": 2, "required_count": 1}
@@ -100,7 +100,7 @@ class TestPatternSpec:
 class TestProblemInstance:
     def test_from_pairs(self):
         inst = ProblemInstance.from_pairs(4, 10, [((0, 1), 2), ((2, 3), 1)])
-        assert inst.pattern_count == 2
+        assert len(inst.specs) == 2
         assert inst.pattern_lengths == (2, 2)
         assert inst.required_counts == (2, 1)
         assert inst.minimum_occupancy == 2 * 2 + 2 * 1

@@ -5,15 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subwordcount import (
-    BudgetExceededError,
-    ProblemInstance,
-    can_overlap,
-    count_occurrences,
-    enumerate_count,
-    is_self_intersecting,
-    occurrence_profile_counts,
-)
+from subwordcount import BudgetExceededError, ProblemInstance, enumerate_count
+from subwordcount.enumeration import count_occurrences, occurrence_profile_counts
+from subwordcount.overlap import can_overlap, is_self_intersecting
 
 
 def product_loop_profiles(q, t, patterns):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from subwordcount import Pattern, border_profile, can_overlap, is_self_intersecting
+from subwordcount import Pattern
+from subwordcount.overlap import border_profile, can_overlap, is_self_intersecting
 
 
 def naive_border_lengths(seq):
