@@ -233,14 +233,15 @@ def _document_from_flags(args, length: int | None) -> dict:
 def _emit(text: str, path: str | None) -> None:
     if not text.endswith("\n"):
         text += "\n"
-    if path is None:
-        sys.stdout.write(text)
-        return
     try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        if path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
     except OSError as exc:
-        raise DocumentError(f"cannot write {path}: {exc}") from exc
+        raise DocumentError(f"cannot write {path or 'stdout'}: {exc}") from exc
 
 
 def _cmd_count(args) -> int:

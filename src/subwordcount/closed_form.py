@@ -105,7 +105,7 @@ def count_multi(instance: ProblemInstance) -> CountBreakdown:
     the total.
     """
     require_applicable(instance)
-    return CountBreakdown.deferred(_collapsed_total(instance), per_tuple_terms, instance)
+    return CountBreakdown(_collapsed_total(instance), per_tuple_terms, (instance,))
 
 
 def require_applicable(instance: ProblemInstance) -> None:

@@ -161,59 +161,40 @@ class ProblemInstance:
         return sum(s.pattern.length * s.required_count for s in self.specs)
 
 
-@dataclass(frozen=True, init=False, repr=False)
+@dataclass(frozen=True, repr=False)
 class CountBreakdown:
-    """Exact total plus the signed value of every summation term.
+    """Exact total plus the source of its signed summation terms.
 
     ``terms`` holds one entry per feasible copy-count tuple, in
-    lexicographic order; the total is their exact integer sum.  A
-    breakdown stores its total and the source of its terms, a reference
-    and its arguments; ``terms`` calls the source once, checks the sum
-    against the total and caches it.  Listed terms are their own source,
-    read at construction; ``deferred`` takes its total from a faster
-    engine and leaves the terms unread.  Equality compares totals and
-    sources, never terms: breakdowns from one reference on equal
-    arguments are equal, other sources differ even where the terms
-    agree.  Hashing and ``repr`` see the total only.  Instances are
-    immutable; two threads reading ``terms`` of a deferred breakdown at
-    once may both compute it, to the same value.
+    lexicographic order; the total is their exact integer sum.  The
+    terms are ``reference(*args)``: the first read of ``terms`` calls it,
+    raises ValueError unless the terms sum to the total, and caches
+    them.  ``reference`` must give equal terms for equal arguments.
+    ``from_terms`` builds a breakdown from listed terms.  Equality
+    compares total, reference and args, never terms: breakdowns from one
+    reference on equal arguments are equal, other sources differ even
+    where the terms agree.  Hashing and ``repr`` see the total only.
+    Instances are immutable; two threads reading ``terms`` at once may
+    both compute it, to the same value.
     """
 
     total: int
-    _source: tuple = field(hash=False)
+    reference: Callable[..., Iterable[tuple[tuple[int, ...], int]]] = field(hash=False)
+    args: tuple = field(default=(), hash=False)
 
-    def __init__(self, total: int, terms: Iterable[tuple[tuple[int, ...], int]]):
-        self._hold(total, (_term_tuple, (_term_tuple(terms),)))
-        self.terms  # lists the terms, checks their sum against the total
+    def __post_init__(self):
+        if self.total < 0:
+            raise ValueError("negative total: formula applied outside its domain")
 
     @classmethod
     def from_terms(cls, terms: Iterable[tuple[tuple[int, ...], int]]) -> "CountBreakdown":
         """The breakdown whose total is the sum of ``terms``."""
-        terms = tuple(terms)
-        return cls(sum(value for _, value in terms), terms)
-
-    @classmethod
-    def deferred(
-        cls, total: int, reference: Callable[..., Iterable[tuple[tuple[int, ...], int]]], *args
-    ) -> "CountBreakdown":
-        """A breakdown of ``total`` whose terms ``reference(*args)`` yields
-        when ``terms`` is first read; that read raises ValueError if they
-        do not sum to ``total``.  ``reference`` must give equal terms for
-        equal arguments."""
-        breakdown = cls.__new__(cls)
-        breakdown._hold(total, (reference, args))
-        return breakdown
-
-    def _hold(self, total, source) -> None:
-        if total < 0:
-            raise ValueError("negative total: formula applied outside its domain")
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "_source", source)
+        terms = _term_tuple(terms)
+        return cls(sum(value for _, value in terms), _term_tuple, (terms,))
 
     @cached_property
     def terms(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        reference, args = self._source
-        terms = _term_tuple(reference(*args))
+        terms = _term_tuple(self.reference(*self.args))
         if self.total != sum(value for _, value in terms):
             raise ValueError("the terms do not sum to the total")
         return terms

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import decimal
+import errno
 import io
 import json
 import os
@@ -414,6 +415,20 @@ class TestCount:
         assert "error:" in err
         assert not target.parent.exists()
 
+    @pytest.mark.parametrize("flags", [(), ("--breakdown",)])
+    def test_a_failed_write_to_stdout_exits_1(self, capsys, monkeypatch, flags):
+        message = "No space left on device"
+
+        class FullStream(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, message)
+
+        monkeypatch.setattr(sys, "stdout", FullStream())
+        code = main(["count", "--q", "2", "--t", "4", "--pattern", "ab=1", *flags])
+        assert code == EXIT_INPUT
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"error: cannot write stdout: [Errno {errno.ENOSPC}] {message}"]
+
     def test_single_pattern_count_runs_engine_and_validation_once(self, capsys, monkeypatch):
         calls = {"count_multi": 0, "validate_instance": 0}
 
@@ -787,12 +802,13 @@ class TestExitContract:
         assert code in {EXIT_OK, EXIT_INPUT, EXIT_NOT_APPLICABLE, EXIT_DISAGREE, EXIT_REFUSED}
 
 
-def run_fresh(module, *argv):
+def run_fresh(module, *argv, stdout=subprocess.PIPE):
     """``python -m module argv`` in a new interpreter, on this checkout."""
     src = Path(cli.__file__).resolve().parent.parent
     return subprocess.run(
         [sys.executable, "-m", module, *argv],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env={**os.environ, "PYTHONPATH": str(src)},
         timeout=60,
@@ -873,3 +889,15 @@ def test_python_dash_m_runs_the_cli(module):
     result = run_fresh(module, "validate", "--q", "2", "--t", "4", "--pattern", "aba=1")
     assert result.returncode == EXIT_NOT_APPLICABLE
     assert json.loads(result.stdout)["self_intersecting"] == [True]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_stdout_on_a_full_device_exits_1_without_a_traceback():
+    with open("/dev/full", "w") as full:
+        result = run_fresh(
+            "subwordcount", "count", "--q", "2", "--t", "4", "--pattern", "ab=1", stdout=full
+        )
+    assert result.returncode == EXIT_INPUT
+    assert result.stderr.startswith("error: cannot write stdout")
+    assert len(result.stderr.splitlines()) == 1
+    assert "Traceback" not in result.stderr

@@ -1,3 +1,4 @@
+import dataclasses
 import decimal
 import time
 
@@ -11,9 +12,11 @@ from subwordcount import (
     PatternSpec,
     ProblemInstance,
     ValidationReport,
+    count_multi,
     count_single,
     validate_instance,
 )
+from subwordcount import closed_form
 from subwordcount.automaton import build_automaton
 from subwordcount.core import CountBreakdown
 from subwordcount.enumeration import occurrence_profile_counts
@@ -148,10 +151,6 @@ class TestCountBreakdown:
         b = CountBreakdown.from_terms([((2,), 12), ((3,), -2)])
         assert b.total == 10
 
-    def test_total_must_match_terms(self):
-        with pytest.raises(ValueError):
-            CountBreakdown(5, (((2,), 12), ((3,), -2)))
-
     def test_negative_total_rejected(self):
         with pytest.raises(ValueError):
             CountBreakdown.from_terms([((0,), -3)])
@@ -159,20 +158,20 @@ class TestCountBreakdown:
     def test_empty_terms_total_zero(self):
         assert CountBreakdown.from_terms([]).total == 0
 
-    def test_deferred_terms_disagreeing_with_the_total_raise_on_first_read(self):
-        b = CountBreakdown.deferred(10, lambda: [((1,), 9)])
+    def test_total_must_match_terms(self):
+        b = CountBreakdown(10, lambda: [((1,), 9)])
         assert b.total == 10
         with pytest.raises(ValueError):
             b.terms
 
-    def test_deferred_terms_are_computed_once(self):
+    def test_terms_are_computed_once(self):
         calls = []
 
         def reference():
             calls.append(1)
             return [([2], 12), ([3], -2)]
 
-        b = CountBreakdown.deferred(10, reference)
+        b = CountBreakdown(10, reference)
         assert calls == []
         assert b.terms == (((2,), 12), ((3,), -2))
         assert b.terms is b.terms
@@ -183,36 +182,36 @@ class TestCountBreakdown:
         def reference():
             raise AssertionError("the per-tuple reference must not run")
 
-        b = CountBreakdown.deferred(10, reference)
+        b = CountBreakdown(10, reference)
         assert repr(b) == "CountBreakdown(total=10)"
         assert hash(b) == hash(CountBreakdown.from_terms([((0,), 10)]))
-        assert b != CountBreakdown.deferred(11, reference)
+        assert b != CountBreakdown(11, reference)
         assert b != CountBreakdown.from_terms([((0,), 11)])
 
-    def test_deferred_breakdowns_of_one_source_are_equal_unread(self):
+    def test_breakdowns_of_one_source_are_equal_unread(self):
         def reference(n):
             raise AssertionError("the per-tuple reference must not run")
 
-        a = CountBreakdown.deferred(10, reference, (0, 1))
-        assert a == CountBreakdown.deferred(10, reference, (0, 1))
-        assert a != CountBreakdown.deferred(11, reference, (0, 1))
+        a = CountBreakdown(10, reference, ((0, 1),))
+        assert a == CountBreakdown(10, reference, ((0, 1),))
+        assert a != CountBreakdown(11, reference, ((0, 1),))
 
-    def test_deferred_breakdowns_of_other_sources_compare_terms(self):
+    def test_breakdowns_of_other_sources_compare_terms(self):
         def reference(n):
             return [((n,), 10)]
 
-        a = CountBreakdown.deferred(10, reference, 0)
-        assert a != CountBreakdown.deferred(10, reference, 1)
-        assert a.terms == CountBreakdown.deferred(10, lambda: [((0,), 10)]).terms
+        a = CountBreakdown(10, reference, (0,))
+        assert a != CountBreakdown(10, reference, (1,))
+        assert a.terms == CountBreakdown(10, lambda: [((0,), 10)]).terms
         assert a.terms == CountBreakdown.from_terms([((0,), 10)]).terms
         assert a.terms == (((0,), 10),)
 
-    def test_deferred_breakdowns_of_other_arguments_are_unequal_unread(self):
+    def test_breakdowns_of_other_arguments_are_unequal_unread(self):
         def reference(n):
             raise AssertionError("the per-tuple reference must not run")
 
-        a = CountBreakdown.deferred(10, reference, 0)
-        assert a != CountBreakdown.deferred(10, reference, 1)
+        a = CountBreakdown(10, reference, (0,))
+        assert a != CountBreakdown(10, reference, (1,))
         assert a != CountBreakdown.from_terms([((0,), 10)])
 
     def test_repr_shows_totals_past_the_int_digit_limit(self):
@@ -230,9 +229,21 @@ class TestCountBreakdown:
         assert a != b
         assert hash(a) == hash(b)
 
-    def test_deferred_negative_total_rejected(self):
+    def test_constructor_rejects_a_negative_total(self):
         with pytest.raises(ValueError):
-            CountBreakdown.deferred(-1, lambda: [((0,), -1)])
+            CountBreakdown(-1, lambda: [((0,), -1)])
+
+    def test_one_constructor_whose_fields_are_the_total_and_the_source(self, monkeypatch):
+        assert [f.name for f in dataclasses.fields(CountBreakdown)] == ["total", "reference", "args"]
+        assert not hasattr(CountBreakdown, "deferred")
+        inst = ProblemInstance.from_pairs(4, 8, [((0, 1), 1), ((2, 3), 2)])
+        total = count_multi(inst).total
+
+        def refuse(*args):
+            raise AssertionError("comparing breakdowns must not walk copy-count tuples")
+
+        monkeypatch.setattr(closed_form, "iter_copy_counts", refuse)
+        assert count_multi(inst) == CountBreakdown(total, closed_form.per_tuple_terms, (inst,))
 
     def test_immutable(self):
         b = CountBreakdown.from_terms([((2,), 12)])
