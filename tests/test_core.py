@@ -159,6 +159,11 @@ class TestCountBreakdown:
         assert CountBreakdown.from_terms([]).total == 0
 
     def test_total_must_match_terms(self):
+        b = CountBreakdown(5, lambda: (((2,), 12), ((3,), -2)))
+        with pytest.raises(ValueError):
+            b.terms
+
+    def test_deferred_terms_disagreeing_with_the_total_raise_on_first_read(self):
         b = CountBreakdown(10, lambda: [((1,), 9)])
         assert b.total == 10
         with pytest.raises(ValueError):
