@@ -26,6 +26,7 @@ import csv
 import functools
 import io
 import json
+import os
 import statistics
 import sys
 import time
@@ -132,11 +133,9 @@ def _parse_alphabet(alphabet) -> tuple[int, tuple[str, ...] | None]:
 def _symbol_lookup(size: int, symbol_names: tuple[str, ...] | None) -> dict[str, int] | None:
     """Character-to-index map for tokenizing string patterns, or None when
     string patterns cannot be accepted."""
-    if symbol_names is None:
-        if size > len(DEFAULT_SYMBOLS):
-            return None
-        return {ch: i for i, ch in enumerate(DEFAULT_SYMBOLS[:size])}
-    if any(len(name) != 1 for name in symbol_names):
+    if symbol_names is None and size <= len(DEFAULT_SYMBOLS):
+        symbol_names = DEFAULT_SYMBOLS[:size]
+    if symbol_names is None or any(len(name) != 1 for name in symbol_names):
         return None
     return {name: i for i, name in enumerate(symbol_names)}
 
@@ -168,12 +167,7 @@ def report_to_document(report: ValidationReport) -> dict:
 def _instance_from_args(args, length: int | None = None) -> ProblemInstance:
     """The instance the flags describe: the ``--input`` document, or the
     inline flags at word length ``length`` (by default the last ``--t``)."""
-    inline_used = (
-        args.q is not None
-        or args.t is not None
-        or args.pattern
-        or args.alphabet is not None
-    )
+    inline_used = args.pattern or any(f is not None for f in (args.q, args.t, args.alphabet))
     if args.input is not None:
         if inline_used:
             raise DocumentError("--input excludes the inline instance flags")
@@ -500,7 +494,17 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    status = main()
+    try:
+        if sys.stdout is not None:  # without a stdout, argparse's help went to stderr
+            sys.stdout.flush()  # argparse's help text, or what a failed write left buffered
+    except OSError as exc:
+        if status == EXIT_OK:  # help text; main has reported a failed write already
+            print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+            status = EXIT_INPUT
+        # the interpreter flushes stdout again on exit; let that flush succeed
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -803,14 +803,19 @@ class TestExitContract:
 
 
 def run_fresh(module, *argv, stdout=subprocess.PIPE):
-    """``python -m module argv`` in a new interpreter, on this checkout."""
+    """``python -m module argv`` in a new interpreter, on this checkout.
+
+    Its stdout is block-buffered, as from a shell, even where the calling
+    environment sets ``PYTHONUNBUFFERED``.
+    """
     src = Path(cli.__file__).resolve().parent.parent
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
     return subprocess.run(
         [sys.executable, "-m", module, *argv],
         stdout=stdout,
         stderr=subprocess.PIPE,
         text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env={**env, "PYTHONPATH": str(src)},
         timeout=60,
     )
 
@@ -892,12 +897,30 @@ def test_python_dash_m_runs_the_cli(module):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_stdout_on_a_full_device_exits_1_without_a_traceback():
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--q", "2", "--t", "4", "--pattern", "ab=1"),
+        ("count", "--q", "2", "--t", "4", "--pattern", "ab=1", "--breakdown"),
+        ("--help",),  # argparse leaves its help in stdout's buffer
+    ],
+    ids=["count", "breakdown", "help"],
+)
+def test_stdout_on_a_full_device_exits_1_without_a_traceback(argv):
+    # the bytes a failed write leaves buffered must not fail again, with an
+    # "Exception ignored" report and status 120, when the interpreter exits
     with open("/dev/full", "w") as full:
-        result = run_fresh(
-            "subwordcount", "count", "--q", "2", "--t", "4", "--pattern", "ab=1", stdout=full
-        )
+        result = run_fresh("subwordcount", *argv, stdout=full)
     assert result.returncode == EXIT_INPUT
     assert result.stderr.startswith("error: cannot write stdout")
     assert len(result.stderr.splitlines()) == 1
     assert "Traceback" not in result.stderr
+
+
+def test_help_without_a_stdout_goes_to_stderr_and_exits_0(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["subwordcount", "count", "--help"])
+    monkeypatch.setattr(sys, "stdout", None)
+    with pytest.raises(SystemExit) as stop:
+        cli.console_main()
+    assert stop.value.code == EXIT_OK
+    assert capsys.readouterr().err.startswith("usage: subwordcount count [")

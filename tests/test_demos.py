@@ -13,6 +13,9 @@ def test_demo_directory_is_populated():
     assert len(DEMOS) == 5
 
 
+# a warning raised while a demo runs, such as a deprecation on a newer Python,
+# fails the test instead of only being reported
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(script, capsys, monkeypatch):
     # the benchmark demo accepts a sweep override; keep it quick here
