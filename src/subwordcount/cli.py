@@ -80,6 +80,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise DocumentError(message)
 
+    # argparse drops a failed write of its help; send stdout's through _emit
+    def _print_message(self, message, file=None):
+        if file is not None and file is sys.stdout:
+            _emit(message, None)
+        else:
+            super()._print_message(message, file)
+
 
 def parse_document(document) -> ProblemInstance:
     """Build a ProblemInstance from a parsed JSON instance document.
@@ -225,8 +232,12 @@ def _document_from_flags(args, length: int | None) -> dict:
 
 
 def _emit(text: str, path: str | None) -> None:
+    """Write ``text`` to the file ``path``, or else to stdout; the CLI
+    writes stdout nowhere else.  A failed write raises DocumentError."""
     if not text.endswith("\n"):
         text += "\n"
+    if path is None and sys.stdout is None:  # started with stdout closed (>&-)
+        raise DocumentError("cannot write stdout: it is closed")
     try:
         if path is None:
             sys.stdout.write(text)
@@ -496,13 +507,11 @@ def main(argv: Sequence[str] | None = None) -> int:
 def console_main() -> None:
     status = main()
     try:
-        if sys.stdout is not None:  # without a stdout, argparse's help went to stderr
-            sys.stdout.flush()  # argparse's help text, or what a failed write left buffered
-    except OSError as exc:
-        if status == EXIT_OK:  # help text; main has reported a failed write already
-            print(f"error: cannot write stdout: {exc}", file=sys.stderr)
-            status = EXIT_INPUT
-        # the interpreter flushes stdout again on exit; let that flush succeed
+        if sys.stdout is not None:
+            sys.stdout.flush()  # what a failed write left buffered
+    except OSError:
+        # main has reported the failed write; the interpreter flushes stdout
+        # again on exit, so let that flush succeed
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(status)
 

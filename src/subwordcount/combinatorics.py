@@ -1,9 +1,8 @@
 """Exact combinatorial primitives on arbitrary-precision integers.
 
-Out-of-range binomials are 0 rather than errors.  The closed form passes
-only in-range arguments; ``alternating_binomial_sum`` is the one caller
-that relies on the convention, for its boundary terms.  Everything
-returns exact Python ints, never floats.
+Out-of-range binomials are 0 rather than errors, though the closed form
+passes only in-range arguments.  Everything returns exact Python ints,
+never floats.
 
 The closed form calls ``multichoose`` and ``binomial`` once per copy-count
 layer J, not once per (J, L) term: within a layer it steps the fill
@@ -56,25 +55,3 @@ def multinomial(parts: Sequence[int]) -> int:
         total += part
         out *= math.comb(total, part)
     return out
-
-
-def alternating_binomial_sum(j: int, m: int, n: int, k: int) -> int:
-    """Closed form of sum_{i=j}^{m} (-1)**i * C(n, k - i).
-
-    The alternating sum telescopes down to its two boundary terms,
-    (-1)**j * C(n-1, k-j) + (-1)**m * C(n-1, k-m-1), under the
-    out-of-range-is-zero binomial convention.  Requires j <= m and n >= 0;
-    the degenerate n = 0 row is evaluated directly.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if j > m:
-        raise ValueError("j must be <= m")
-    if n == 0:
-        # only the i = k term survives, since C(0, r) = 1 iff r = 0
-        if j <= k <= m:
-            return -1 if k % 2 else 1
-        return 0
-    sign_j = -1 if j % 2 else 1
-    sign_m = -1 if m % 2 else 1
-    return sign_j * binomial(n - 1, k - j) + sign_m * binomial(n - 1, k - m - 1)

@@ -20,7 +20,6 @@ from subwordcount import (
     dp_count,
     enumerate_count,
 )
-from subwordcount.combinatorics import alternating_binomial_sum, binomial
 from subwordcount.enumeration import occurrence_profile_counts
 
 
@@ -177,18 +176,6 @@ def test_08_multi_pattern_engine_reduces_to_single_pattern_engine():
                     assert count_multi(inst).total == count_single(q, t, a, x).total
                     checked += 1
     conclude(8, True, f"{checked} one-pattern instances, both engines bit-exact equal")
-
-
-def test_09_alternating_sum_closed_form_matches_direct_summation():
-    rng = random.Random(1729)
-    for _ in range(1000):
-        m = rng.randint(0, 20)
-        j = rng.randint(0, m)
-        n = rng.randint(1, 20)
-        k = rng.randint(0, n)
-        direct = sum((-1) ** i * binomial(n, k - i) for i in range(j, m + 1))
-        assert alternating_binomial_sum(j, m, n, k) == direct, (j, m, n, k)
-    conclude(9, True, "1000 random (j, m, n, k) tuples, closed form exact")
 
 
 def test_10_polynomial_vs_exponential_runtime_separation():

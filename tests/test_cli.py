@@ -802,14 +802,16 @@ class TestExitContract:
         assert code in {EXIT_OK, EXIT_INPUT, EXIT_NOT_APPLICABLE, EXIT_DISAGREE, EXIT_REFUSED}
 
 
-def run_fresh(module, *argv, stdout=subprocess.PIPE):
+def run_fresh(module, *argv, stdout=subprocess.PIPE, unbuffered=False):
     """``python -m module argv`` in a new interpreter, on this checkout.
 
     Its stdout is block-buffered, as from a shell, even where the calling
-    environment sets ``PYTHONUNBUFFERED``.
+    environment sets ``PYTHONUNBUFFERED``; ``unbuffered=True`` sets it.
     """
     src = Path(cli.__file__).resolve().parent.parent
     env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run(
         [sys.executable, "-m", module, *argv],
         stdout=stdout,
@@ -898,19 +900,20 @@ def test_python_dash_m_runs_the_cli(module):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize(
-    "argv",
+    "argv, unbuffered",
     [
-        ("count", "--q", "2", "--t", "4", "--pattern", "ab=1"),
-        ("count", "--q", "2", "--t", "4", "--pattern", "ab=1", "--breakdown"),
-        ("--help",),  # argparse leaves its help in stdout's buffer
+        (("count", "--q", "2", "--t", "4", "--pattern", "ab=1"), False),
+        (("count", "--q", "2", "--t", "4", "--pattern", "ab=1", "--breakdown"), False),
+        (("--help",), False),
+        (("--help",), True),  # argparse's own writer would drop the OSError
     ],
-    ids=["count", "breakdown", "help"],
+    ids=["count", "breakdown", "help", "help-unbuffered"],
 )
-def test_stdout_on_a_full_device_exits_1_without_a_traceback(argv):
+def test_stdout_on_a_full_device_exits_1_without_a_traceback(argv, unbuffered):
     # the bytes a failed write leaves buffered must not fail again, with an
     # "Exception ignored" report and status 120, when the interpreter exits
     with open("/dev/full", "w") as full:
-        result = run_fresh("subwordcount", *argv, stdout=full)
+        result = run_fresh("subwordcount", *argv, stdout=full, unbuffered=unbuffered)
     assert result.returncode == EXIT_INPUT
     assert result.stderr.startswith("error: cannot write stdout")
     assert len(result.stderr.splitlines()) == 1
@@ -924,3 +927,16 @@ def test_help_without_a_stdout_goes_to_stderr_and_exits_0(capsys, monkeypatch):
         cli.console_main()
     assert stop.value.code == EXIT_OK
     assert capsys.readouterr().err.startswith("usage: subwordcount count [")
+
+
+def test_output_without_a_stdout_exits_1_without_a_traceback(capsys, monkeypatch):
+    argv = ["subwordcount", "count", "--q", "2", "--t", "4", "--pattern", "ab=1"]
+    monkeypatch.setattr(sys, "argv", argv)
+    monkeypatch.setattr(sys, "stdout", None)
+    with pytest.raises(SystemExit) as stop:
+        cli.console_main()
+    assert stop.value.code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write stdout")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err

@@ -4,12 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from subwordcount.combinatorics import (
-    alternating_binomial_sum,
-    binomial,
-    multichoose,
-    multinomial,
-)
+from subwordcount.combinatorics import binomial, multichoose, multinomial
 
 
 class TestBinomial:
@@ -89,28 +84,3 @@ class TestMultinomial:
     @given(st.lists(st.integers(0, 8), min_size=2, max_size=5))
     def test_order_invariant(self, parts):
         assert multinomial(parts) == multinomial(sorted(parts))
-
-
-class TestAlternatingBinomialSum:
-    @given(
-        st.integers(0, 20),
-        st.integers(0, 20),
-        st.integers(0, 20),
-        st.integers(-3, 23),
-    )
-    def test_matches_direct_summation(self, j, extra, n, k):
-        m = j + extra
-        direct = sum((-1) ** i * binomial(n, k - i) for i in range(j, m + 1))
-        assert alternating_binomial_sum(j, m, n, k) == direct
-
-    def test_degenerate_row(self):
-        # n = 0: only the i = k term can survive
-        assert alternating_binomial_sum(0, 5, 0, 3) == -1
-        assert alternating_binomial_sum(0, 5, 0, 2) == 1
-        assert alternating_binomial_sum(0, 5, 0, 9) == 0
-
-    def test_bad_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            alternating_binomial_sum(3, 2, 5, 1)
-        with pytest.raises(ValueError):
-            alternating_binomial_sum(0, 1, -1, 0)

@@ -34,7 +34,7 @@ INTERNAL = {
         "count_matches",
         "tally_graph",
     ],
-    "combinatorics": ["alternating_binomial_sum", "binomial", "multichoose", "multinomial"],
+    "combinatorics": ["binomial", "multichoose", "multinomial"],
     "enumeration": ["count_occurrences", "occurrence_profile_counts"],
     "overlap": ["border_profile", "can_overlap", "is_self_intersecting"],
 }
