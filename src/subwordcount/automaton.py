@@ -66,9 +66,9 @@ class MatchAutomaton:
 
     Attributes:
         alphabet_size: number of symbols; transitions cover 0..alphabet_size-1.
-        goto: goto[state][symbol] is the state of the longest suffix of
-            the state's prefix plus the symbol that is a pattern prefix,
-            held only where that is not the root: absent symbols lead to 0.
+        goto: goto[state] maps a symbol to the state of the longest suffix
+            of the state's prefix plus the symbol that is a pattern prefix,
+            for the symbols that do not lead to the root, state 0.
         emits: emits[state] lists, in increasing order, the indices of the
             patterns that are suffixes of the state's prefix.
         pattern_count: number of patterns the automaton was built from.
@@ -78,7 +78,7 @@ class MatchAutomaton:
     """
 
     alphabet_size: int
-    goto: tuple[tuple[int, ...], ...]
+    goto: tuple[dict[int, int], ...]
     emits: tuple[tuple[int, ...], ...]
     pattern_count: int
     successors: tuple[tuple[tuple[int, int], ...], ...]

@@ -1,5 +1,8 @@
 """Command line interface: count, verify, validate, and bench.
 
+Every subcommand prints one JSON document, to stdout or ``--output FILE``;
+``main`` is the one place that writes it.
+
 Every subcommand reads its instance the same way: ``--input FILE`` with a
 JSON instance document, or the inline flags ``--q``/``--alphabet``, ``--t``
 and ``--pattern STR=COUNT``, which become the same document.  ``bench``
@@ -22,9 +25,7 @@ values routinely exceed what a double can represent faithfully.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import os
 import statistics
@@ -249,7 +250,7 @@ def _emit(text: str, path: str | None) -> None:
         raise DocumentError(f"cannot write {path or 'stdout'}: {exc}") from exc
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args) -> tuple[dict | None, int]:
     instance = _instance_from_args(args)
     if args.breakdown:
         # refuse before the total, which alone takes seconds on long words
@@ -261,15 +262,14 @@ def _cmd_count(args) -> int:
             terms = breakdown.terms  # the per-tuple reference, checked against the total
         except ValueError as exc:
             print(f"closed-form engines disagree: {exc}", file=sys.stderr)
-            return EXIT_DISAGREE
+            return None, EXIT_DISAGREE
         payload["terms"] = [
             {"indices": list(indices), "value": decimal_string(value)} for indices, value in terms
         ]
-    _emit(json.dumps(payload, indent=2), args.output)
-    return EXIT_OK
+    return payload, EXIT_OK
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[dict, int]:
     instance = _instance_from_args(args)
     values = {}
     for name in ("closed_form", *_ORACLES[args.oracle]):
@@ -279,18 +279,16 @@ def _cmd_verify(args) -> int:
         "values": {name: decimal_string(value) for name, value in values.items()},
         "agree": agree,
     }
-    _emit(json.dumps(payload, indent=2), args.output)
-    return EXIT_OK if agree else EXIT_DISAGREE
+    return payload, EXIT_OK if agree else EXIT_DISAGREE
 
 
-def _cmd_validate(args) -> int:
-    instance = _instance_from_args(args)
-    report = validate_instance(instance)
-    _emit(json.dumps(report_to_document(report), indent=2), args.output)
-    return EXIT_OK if report.is_formula_applicable else EXIT_NOT_APPLICABLE
+def _cmd_validate(args) -> tuple[dict, int]:
+    report = validate_instance(_instance_from_args(args))
+    status = EXIT_OK if report.is_formula_applicable else EXIT_NOT_APPLICABLE
+    return report_to_document(report), status
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args) -> tuple[dict | None, int]:
     # one instance per --t; without --t (an --input document) just the one
     instances = [_instance_from_args(args, t) for t in args.t or [None]]
     methods = list(dict.fromkeys(args.method or ["closed_form"]))
@@ -327,37 +325,13 @@ def _cmd_bench(args) -> int:
         if len(set(seen.values())) > 1:
             detail = ", ".join(f"{m}={decimal_string(v)}" for m, v in sorted(seen.items()))
             print(f"methods disagree at t={t}: {detail}", file=sys.stderr)
-            return EXIT_DISAGREE
+            return None, EXIT_DISAGREE
 
-    _emit(_render_bench(rows, as_json=args.json), args.output)
     for method in methods:
         if all(row["method"] != method for row in rows):
             print(f"{method} refused every instance", file=sys.stderr)
-            return EXIT_REFUSED
-    return EXIT_OK
-
-
-def _render_bench(rows: list[dict], as_json: bool) -> str:
-    if as_json:
-        return json.dumps({"rows": rows}, indent=2)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(
-        ["method", "q", "t", "pattern_lengths", "required_counts", "wall_seconds", "count_digits"]
-    )
-    for row in rows:
-        writer.writerow(
-            [
-                row["method"],
-                row["q"],
-                row["t"],
-                "+".join(str(a) for a in row["pattern_lengths"]),
-                "+".join(str(x) for x in row["required_counts"]),
-                f"{row['wall_seconds']:.6f}",
-                row["count_digits"],
-            ]
-        )
-    return buffer.getvalue()
+            return {"rows": rows}, EXIT_REFUSED
+    return {"rows": rows}, EXIT_OK
 
 
 def _int_at_least(low: int) -> Callable[[str], int]:
@@ -460,7 +434,6 @@ def _build_parser() -> _Parser:
         parents=[instance_flags, output_flag, guard_flag],
         help="time counting methods on the instance, once per --t",
     )
-    bench_p.add_argument("--json", action="store_true", help="JSON output, not CSV")
     bench_p.add_argument(
         "--method",
         action="append",
@@ -477,6 +450,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# each command returns its JSON document, or None when it reported only on
+# stderr, and its exit status; main writes the document
 _COMMANDS = {
     "count": _cmd_count,
     "verify": _cmd_verify,
@@ -492,7 +467,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:  # --help; bad flags raise DocumentError instead
             return exc.code
-        return _COMMANDS[args.command](args)
+        payload, status = _COMMANDS[args.command](args)
+        if payload is not None:
+            _emit(json.dumps(payload, indent=2), args.output)
+        return status
     except DocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

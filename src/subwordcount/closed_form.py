@@ -128,10 +128,13 @@ def require_listable(instance: ProblemInstance) -> None:
     limit = BREAKDOWN_CELL_CAP // (d + digits)
     if _copy_count_tuples(instance, limit) > limit:
         require_applicable(instance)
+        if limit:
+            what = f"more than {limit} copy-count tuples of {d + digits} cells each"
+        else:
+            what = f"one copy-count tuple alone lists {d + digits} cells"
         raise BudgetExceededError(
-            f"breakdown refused: more than {limit} copy-count tuples of {d + digits} "
-            f"cells each (d = {d} indices and the {digits} decimal digits of q ** t), "
-            f"past the cap of {BREAKDOWN_CELL_CAP} cells"
+            f"breakdown refused: {what} (d = {d} indices and the {digits} decimal "
+            f"digits of q ** t), past the cap of {BREAKDOWN_CELL_CAP} cells"
         )
 
 

@@ -65,14 +65,15 @@ def occurrence_profile_counts(
     instance = ProblemInstance.from_pairs(alphabet_size, word_length, pairs)
     # Multiply one symbol at a time and stop once past the guard: the full
     # power q**t of a huge word length would take seconds just to compute.
+    # The guard is checked before the first symbol too: t = 0 has one word.
     words = 1
-    for _ in range(word_length):
-        words *= alphabet_size
+    for _ in range(word_length + 1):
         if words > guard:
             raise BudgetExceededError(
                 f"enumeration refused: {alphabet_size}**{word_length} words exceed "
                 f"the guard of {guard}"
             )
+        words *= alphabet_size
     # word[start:] is the word's last len(pattern) symbols
     windows = [(pattern.symbols, -pattern.length) for pattern in instance.patterns]
     histogram: dict[tuple[int, ...], int] = {}

@@ -1,5 +1,4 @@
 import contextlib
-import csv
 import decimal
 import errno
 import io
@@ -10,6 +9,7 @@ import sys
 import time
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -198,6 +198,19 @@ class TestCount:
         assert out == ""
         assert "breakdown refused" in err and "7225 decimal digits" in err
 
+    def test_breakdown_where_one_tuple_passes_the_cap_says_so(self, capsys):
+        # one index and the 10,000,001 digits of 10 ** 10**7: past the cap alone
+        code, out, err = run(
+            capsys, "count", "--q", "10", "--t", "10000000", "--pattern", "ab=0", "--breakdown"
+        )
+        assert code == EXIT_REFUSED
+        assert out == ""
+        assert err == (
+            "breakdown refused: one copy-count tuple alone lists 10000002 cells (d = 1 "
+            "indices and the 10000001 decimal digits of q ** t), past the cap of "
+            "10000000 cells\n"
+        )
+
     def test_breakdown_under_the_digit_cap_is_listed(self, capsys):
         # 1,001 tuples times the 1,807 digits of 4 ** 3000
         code, out, _ = run(
@@ -369,6 +382,7 @@ class TestCount:
             ("bench", "--q", "4", "--t", "4", "--pattern-length", "3"),
             ("bench", "--q", "4", "--t", "4", "--required", "2"),
             ("bench", "--q", "4", "--t", "4", "--pattern", "abb=2", "--csv"),
+            ("bench", "--q", "4", "--t", "4", "--pattern", "abb=2", "--json"),
         ],
     )
     def test_malformed_input_exits_1(self, capsys, argv):
@@ -491,6 +505,16 @@ class TestVerify:
         assert code == EXIT_REFUSED
         assert "refused" in err
 
+    def test_guard_refuses_the_one_empty_word(self, capsys):
+        code, out, err = run(
+            capsys,
+            "verify", "--q", "2", "--t", "0", "--pattern", "a=0",
+            "--oracle", "enum", "--guard", "0",
+        )
+        assert code == EXIT_REFUSED
+        assert out == ""
+        assert "enumeration refused" in err
+
     def test_more_occurrences_than_room_count_0_in_every_method(self, capsys):
         # the automaton gives 0 before checking its budget, which this
         # requirement would exceed
@@ -550,7 +574,7 @@ class TestValidate:
 
 
 class TestBench:
-    def test_csv_shape_and_agreement(self, capsys):
+    def test_json_shape_and_agreement(self, capsys):
         code, out, _ = run(
             capsys,
             "bench", "--q", "4", "--t", "6", "--t", "8", "--pattern", "abb=2",
@@ -558,21 +582,22 @@ class TestBench:
             "--reps", "1",
         )
         assert code == EXIT_OK
-        rows = list(csv.reader(io.StringIO(out)))
-        assert rows[0] == [
-            "method", "q", "t", "pattern_lengths", "required_counts",
-            "wall_seconds", "count_digits",
-        ]
-        assert len(rows) == 1 + 6
-        assert [r[2] for r in rows[1:]] == ["6"] * 3 + ["8"] * 3
-        digits = {(r[2], r[6]) for r in rows[1:]}
+        rows = json.loads(out)["rows"]
+        for row in rows:
+            assert list(row) == [
+                "method", "q", "t", "pattern_lengths", "required_counts",
+                "wall_seconds", "count_digits",
+            ]
+        assert len(rows) == 6
+        assert [r["t"] for r in rows] == [6] * 3 + [8] * 3
+        digits = {(r["t"], r["count_digits"]) for r in rows}
         assert len(digits) == 2  # per t, all methods report the same digit count
 
     def test_json_rows(self, capsys):
         code, out, _ = run(
             capsys,
             "bench", "--q", "4", "--t", "10", "--pattern", "abb=2",
-            "--method", "closed_form", "--json",
+            "--method", "closed_form",
         )
         assert code == EXIT_OK
         rows = json.loads(out)["rows"]
@@ -599,8 +624,8 @@ class TestBench:
             "--guard", "100000", "--reps", "1",
         )
         assert code == EXIT_OK
-        rows = list(csv.reader(io.StringIO(out)))[1:]
-        methods_at_20 = [r[0] for r in rows if r[2] == "20"]
+        rows = json.loads(out)["rows"]
+        methods_at_20 = [r["method"] for r in rows if r["t"] == 20]
         assert methods_at_20 == ["closed_form"]
         assert "skipped" in err
 
@@ -622,15 +647,15 @@ class TestBench:
             "--reps", "1",
         )
         assert code == EXIT_OK
-        rows = list(csv.reader(io.StringIO(out)))[1:]
-        assert rows[0][3] == "2+3"
-        assert rows[0][4] == "1+1"
+        rows = json.loads(out)["rows"]
+        assert rows[0]["pattern_lengths"] == [2, 3]
+        assert rows[0]["required_counts"] == [1, 1]
 
     def test_count_digits_past_the_int_str_digit_limit(self, capsys):
         code, out, _ = run(
             capsys,
             "bench", "--q", "36", "--t", "3000", "--pattern", "abb=1",
-            "--reps", "1", "--json",
+            "--reps", "1",
         )
         assert code == EXIT_OK
         assert json.loads(out)["rows"][0]["count_digits"] == 4668
@@ -667,7 +692,7 @@ class TestBench:
         code, out, _ = run(
             capsys,
             "bench", "--input", str(path),
-            "--method", "closed_form", "--method", "automaton", "--reps", "1", "--json",
+            "--method", "closed_form", "--method", "automaton", "--reps", "1",
         )
         assert code == EXIT_OK
         rows = json.loads(out)["rows"]
@@ -850,10 +875,9 @@ class TestSharedParser:
         first = [
             "bench", "--q", "2", "--t", "4", "--t", "6", "--pattern", "ab=1",
             "--method", "closed_form", "--method", "automaton",
-            "--reps", "1", "--guard", "0", "--json",
+            "--reps", "1", "--guard", "0",
         ]
-        second = ["bench", "--q", "2", "--t", "5", "--pattern", "ab=1",
-                  "--method", "enumeration", "--json"]
+        second = ["bench", "--q", "2", "--t", "5", "--pattern", "ab=1", "--method", "enumeration"]
         code, out, _ = run(capsys, *first)
         assert code == EXIT_OK
         assert [(r["method"], r["t"]) for r in json.loads(out)["rows"]] == [
@@ -889,6 +913,29 @@ class TestSharedParser:
         code, out, _ = run(capsys, "count", "--q", "2", "--t", "4", "--pattern", "ab=1")
         assert code == EXIT_OK
         assert json.loads(out)["count"] == "10"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--q", "2", "--t", "4", "--pattern", "ab=1"),
+        ("count", "--q", "2", "--t", "4", "--pattern", "ab=1", "--breakdown"),
+        ("verify", "--q", "2", "--t", "4", "--pattern", "ab=1"),
+        ("validate", "--q", "2", "--t", "4", "--pattern", "ab=1"),
+        ("bench", "--q", "4", "--t", "6", "--t", "8", "--pattern", "abb=2", "--reps", "1"),
+    ],
+    ids=["count", "breakdown", "verify", "validate", "bench"],
+)
+def test_every_command_prints_one_json_document(capsys, monkeypatch, tmp_path, argv):
+    # bench's timings would differ between the two calls
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    target = tmp_path / "result.json"
+    code, rerun, _ = run(capsys, *argv, "--output", str(target))
+    assert (code, rerun) == (EXIT_OK, "")
+    assert target.read_text(encoding="utf-8") == out
 
 
 @pytest.mark.parametrize("module", ["subwordcount", "subwordcount.cli"])

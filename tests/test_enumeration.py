@@ -99,6 +99,12 @@ class TestEnumerateCount:
         with pytest.raises(BudgetExceededError):
             enumerate_count(inst, guard=2**10 - 1)
 
+    def test_guard_counts_the_one_empty_word(self):
+        inst = ProblemInstance.from_pairs(2, 0, [((0,), 0)])
+        assert enumerate_count(inst, guard=1) == 1
+        with pytest.raises(BudgetExceededError):
+            enumerate_count(inst, guard=0)
+
     def test_guard_refuses_without_computing_the_full_power(self):
         class NoPower(int):
             def __pow__(self, other, modulo=None):
