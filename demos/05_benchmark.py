@@ -4,10 +4,9 @@ Enumeration cost is q**t, so each +2 in word length multiplies its wall
 time by q**2 (16x for DNA).  The closed form evaluates a summation of
 O(t**2 / a_min) terms, a_min the shortest pattern length: polynomial in
 t, with big-integer arithmetic on top.
-The same sweep is available from the command line:
+Word lengths to sweep may be given as arguments:
 
-    subwordcount bench --q 4 --t 8 --t 10 --t 12 --pattern abb=2 \
-        --method closed_form --method enumeration --method automaton
+    python demos/05_benchmark.py 8 10 12
 """
 
 import sys

@@ -1,12 +1,11 @@
-"""Command line interface: count, verify, validate, and bench.
+"""Command line interface: count, verify and validate.
 
 Every subcommand prints one JSON document, to stdout or ``--output FILE``;
 ``main`` is the one place that writes it.
 
 Every subcommand reads its instance the same way: ``--input FILE`` with a
 JSON instance document, or the inline flags ``--q``/``--alphabet``, ``--t``
-and ``--pattern STR=COUNT``, which become the same document.  ``bench``
-times the instance once per ``--t`` given; the others use the last one.
+and ``--pattern STR=COUNT``, which become the same document.
 
 Exit codes are a contract shared by every subcommand:
 
@@ -28,15 +27,13 @@ import argparse
 import functools
 import json
 import os
-import statistics
 import sys
-import time
 from typing import Callable, Sequence
 
 from .automaton import dp_count
-# count_single is not called here; perfbench/tracing.py wraps cli.count_single
+# count_single is not called here; the timing harness's tracer wraps cli.count_single
 from .closed_form import BREAKDOWN_CELL_CAP, count_multi, count_single  # noqa: F401
-from .closed_form import require_applicable, require_listable
+from .closed_form import require_listable
 from .core import (
     BudgetExceededError,
     NotApplicableError,
@@ -172,9 +169,9 @@ def report_to_document(report: ValidationReport) -> dict:
     }
 
 
-def _instance_from_args(args, length: int | None = None) -> ProblemInstance:
+def _instance_from_args(args) -> ProblemInstance:
     """The instance the flags describe: the ``--input`` document, or the
-    inline flags at word length ``length`` (by default the last ``--t``)."""
+    inline flags."""
     inline_used = args.pattern or any(f is not None for f in (args.q, args.t, args.alphabet))
     if args.input is not None:
         if inline_used:
@@ -190,12 +187,11 @@ def _instance_from_args(args, length: int | None = None) -> ProblemInstance:
         return parse_document(document)
     if not inline_used:
         raise DocumentError("give --input FILE or the inline flags --q/--t/--pattern")
-    return parse_document(_document_from_flags(args, length))
+    return parse_document(_document_from_flags(args))
 
 
-def _document_from_flags(args, length: int | None) -> dict:
-    """The instance document the inline flags describe, at word length
-    ``length`` or else the last ``--t``."""
+def _document_from_flags(args) -> dict:
+    """The instance document the inline flags describe."""
     if args.t is None:
         raise DocumentError("--t is required")
     if not args.pattern:
@@ -225,11 +221,7 @@ def _document_from_flags(args, length: int | None) -> dict:
         except ValueError:
             raise DocumentError(f"required count {count_text!r} is not an integer") from None
         patterns.append({"pattern": text, "count": count})
-    return {
-        "alphabet": alphabet,
-        "length": args.t[-1] if length is None else length,
-        "patterns": patterns,
-    }
+    return {"alphabet": alphabet, "length": args.t, "patterns": patterns}
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -288,69 +280,21 @@ def _cmd_validate(args) -> tuple[dict, int]:
     return report_to_document(report), status
 
 
-def _cmd_bench(args) -> tuple[dict | None, int]:
-    # one instance per --t; without --t (an --input document) just the one
-    instances = [_instance_from_args(args, t) for t in args.t or [None]]
-    methods = list(dict.fromkeys(args.method or ["closed_form"]))
-    if "closed_form" in methods:
-        # refuse before timing anything; the patterns, hence the report, are the same at every --t
-        require_applicable(instances[0])
-
-    rows = []
-    for instance in instances:
-        t = instance.word_length
-        seen: dict[str, int] = {}
-        for method in methods:
-            durations = []
-            try:
-                for _ in range(args.reps):
-                    start = time.perf_counter()
-                    value = METHODS[method](instance, args.guard)
-                    durations.append(time.perf_counter() - start)
-            except BudgetExceededError as exc:
-                print(f"skipped t={t}: {exc}", file=sys.stderr)
-                continue
-            seen[method] = value
-            rows.append(
-                {
-                    "method": method,
-                    "q": instance.alphabet_size,
-                    "t": t,
-                    "pattern_lengths": list(instance.pattern_lengths),
-                    "required_counts": list(instance.required_counts),
-                    "wall_seconds": statistics.median(durations),
-                    "count_digits": len(decimal_string(value)),
-                }
-            )
-        if len(set(seen.values())) > 1:
-            detail = ", ".join(f"{m}={decimal_string(v)}" for m, v in sorted(seen.items()))
-            print(f"methods disagree at t={t}: {detail}", file=sys.stderr)
-            return None, EXIT_DISAGREE
-
-    for method in methods:
-        if all(row["method"] != method for row in rows):
-            print(f"{method} refused every instance", file=sys.stderr)
-            return {"rows": rows}, EXIT_REFUSED
-    return {"rows": rows}, EXIT_OK
+def _non_negative_int(text: str) -> int:
+    """argparse type for an integer flag that must be >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
-def _int_at_least(low: int) -> Callable[[str], int]:
-    """argparse type for an integer flag that must be >= ``low``."""
-
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        return value
-
-    parse.__name__ = "int"  # argparse reports bad text as "invalid int value"
-    return parse
+_non_negative_int.__name__ = "int"  # argparse reports bad text as "invalid int value"
 
 
 @functools.cache
 def _build_parser() -> _Parser:
     """The command line parser, built on first use and shared by every
-    later ``main`` call: building it costs over ten parses.  Sharing is
+    later ``main`` call: building it costs about eight parses.  Sharing is
     safe because parsing leaves it unchanged: each parse starts a fresh
     namespace from the defaults, appended flags default to None, and
     ``_Parser.error`` raises where argparse would exit."""
@@ -366,13 +310,7 @@ def _build_parser() -> _Parser:
     instance_flags = _Parser(add_help=False)
     instance_flags.add_argument("--input", metavar="FILE", help="JSON instance document")
     instance_flags.add_argument("--q", type=int, metavar="N", help="alphabet size")
-    instance_flags.add_argument(
-        "--t",
-        type=int,
-        action="append",
-        metavar="N",
-        help="word length; bench times each one given, the other commands use the last",
-    )
+    instance_flags.add_argument("--t", type=int, metavar="N", help="word length")
     instance_flags.add_argument(
         "--pattern",
         action="append",
@@ -387,15 +325,6 @@ def _build_parser() -> _Parser:
 
     output_flag = _Parser(add_help=False)
     output_flag.add_argument("--output", metavar="FILE", help="write output here, not stdout")
-
-    guard_flag = _Parser(add_help=False)
-    guard_flag.add_argument(
-        "--guard",
-        type=_int_at_least(0),
-        default=DEFAULT_GUARD,
-        metavar="N",
-        help="enumeration refuses instances with more than N words",
-    )
 
     count_p = sub.add_parser(
         "count",
@@ -413,8 +342,15 @@ def _build_parser() -> _Parser:
 
     verify_p = sub.add_parser(
         "verify",
-        parents=[instance_flags, output_flag, guard_flag],
+        parents=[instance_flags, output_flag],
         help="check the closed form against independent oracles",
+    )
+    verify_p.add_argument(
+        "--guard",
+        type=_non_negative_int,
+        default=DEFAULT_GUARD,
+        metavar="N",
+        help="enumeration refuses instances with more than N words",
     )
     verify_p.add_argument(
         "--oracle",
@@ -428,25 +364,6 @@ def _build_parser() -> _Parser:
         parents=[instance_flags, output_flag],
         help="report whether the closed form applies to the instance",
     )
-
-    bench_p = sub.add_parser(
-        "bench",
-        parents=[instance_flags, output_flag, guard_flag],
-        help="time counting methods on the instance, once per --t",
-    )
-    bench_p.add_argument(
-        "--method",
-        action="append",
-        choices=list(METHODS),
-        help="counting method to time; repeatable (default: closed_form)",
-    )
-    bench_p.add_argument(
-        "--reps",
-        type=_int_at_least(1),
-        default=3,
-        metavar="N",
-        help="repetitions per timing (median wins)",
-    )
     return parser
 
 
@@ -456,7 +373,6 @@ _COMMANDS = {
     "count": _cmd_count,
     "verify": _cmd_verify,
     "validate": _cmd_validate,
-    "bench": _cmd_bench,
 }
 
 

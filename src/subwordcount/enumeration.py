@@ -13,6 +13,7 @@ deterministic and machine independent.
 
 from __future__ import annotations
 
+import sys
 from operator import add
 from typing import Sequence
 
@@ -40,8 +41,8 @@ def enumerate_count(instance: ProblemInstance, guard: int = DEFAULT_GUARD) -> in
 
     Accepts any pattern set, including self-intersecting and overlapping
     ones; this is the semantic ground truth.  Refuses instances with more
-    than ``guard`` words, which signals the caller to use the automaton
-    oracle instead.
+    than ``guard`` words, or words too long for the recursion limit, which
+    signals the caller to use the automaton oracle instead.
     """
     q, t = instance.alphabet_size, instance.word_length
     histogram = occurrence_profile_counts(q, t, instance.patterns, guard)
@@ -74,6 +75,17 @@ def occurrence_profile_counts(
                 f"the guard of {guard}"
             )
         words *= alphabet_size
+    # extend recurses once per symbol on top of the frames already on the
+    # stack.  C calls between those frames count against the recursion limit
+    # too, and the frames do not show them, so keep 50 levels spare.
+    depth, frame = word_length + 50, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    if depth > sys.getrecursionlimit():
+        raise BudgetExceededError(
+            f"enumeration refused: a word length of {word_length} needs more nested "
+            f"calls than the recursion limit of {sys.getrecursionlimit()} allows"
+        )
     # word[start:] is the word's last len(pattern) symbols
     windows = [(pattern.symbols, -pattern.length) for pattern in instance.patterns]
     histogram: dict[tuple[int, ...], int] = {}

@@ -9,10 +9,9 @@ import sys
 import time
 from functools import partial
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subwordcount import ProblemInstance, cli, closed_form, count_multi, dp_count
@@ -372,17 +371,17 @@ class TestCount:
             ("count", "--q", "2", "--t", "4", "--pattern", "ab=1", "--input", "x.json"),
             ("nonsense",),
             ("verify", "--q", "2", "--t", "4", "--pattern", "ab=1", "--guard", "-1"),
-            ("bench", "--t", "4", "--guard", "-1"),
-            ("bench", "--t", "4", "--reps", "0"),
+            ("verify", "--q", "2", "--t", "4", "--pattern", "ab=1", "--oracle", "all"),
+            ("validate", "--input", "."),
             ("count", "--q", "2", "--t", "4", "--pattern", "ab=1", "--json"),
-            ("bench", "--t", "4"),
-            ("bench", "--q", "4", "--pattern", "abb=2"),
-            ("bench", "--q", "4", "--t", "4", "--t", "-1", "--pattern", "abb=2"),
-            ("bench", "--q", "4", "--t", "4", "--pattern", "abb=2", "--input", "x.json"),
-            ("bench", "--q", "4", "--t", "4", "--pattern-length", "3"),
-            ("bench", "--q", "4", "--t", "4", "--required", "2"),
-            ("bench", "--q", "4", "--t", "4", "--pattern", "abb=2", "--csv"),
-            ("bench", "--q", "4", "--t", "4", "--pattern", "abb=2", "--json"),
+            ("bench", "--q", "4", "--t", "4", "--pattern", "abb=2"),  # an unknown command
+            ("verify", "--q", "4", "--t", "4", "--t", "-1", "--pattern", "abb=2"),
+            ("validate", "--q", "x", "--t", "4", "--pattern", "ab=1"),
+            ("count", "--q", "2", "--t", "4.5", "--pattern", "ab=1"),
+            ("count", "--q", "2", "--t", "1" * 5000, "--pattern", "ab=1"),
+            ("verify", "--q", "2", "--t", "4", "--pattern", "ab=x"),
+            ("validate", "--q", "2", "--t", "4", "--pattern", "=1"),
+            ("verify", "--q", "2", "--t", "4", "--pattern", "ab=1", "--pattern", "ab=2"),
         ],
     )
     def test_malformed_input_exits_1(self, capsys, argv):
@@ -397,7 +396,7 @@ class TestCount:
         assert code == EXIT_INPUT
         assert "error:" in err
 
-    @pytest.mark.parametrize("command", ["count", "verify", "validate", "bench"])
+    @pytest.mark.parametrize("command", ["count", "verify", "validate"])
     @pytest.mark.parametrize(
         "text",
         [
@@ -419,7 +418,8 @@ class TestCount:
             ("count", "--q", "2", "--t", "4", "--pattern", "ab=1"),
             ("verify", "--q", "2", "--t", "4", "--pattern", "ab=1"),
             ("validate", "--q", "2", "--t", "4", "--pattern", "ab=1"),
-            ("bench", "--q", "4", "--t", "4", "--pattern", "abb=2", "--reps", "1"),
+            # a failed write exits 1 even where the command would exit 2
+            ("validate", "--q", "2", "--t", "4", "--pattern", "aba=1"),
         ],
     )
     def test_output_in_a_missing_directory_exits_1(self, capsys, tmp_path, argv):
@@ -496,6 +496,15 @@ class TestVerify:
         assert code == EXIT_OK
         assert set(json.loads(out)["values"]) == {"closed_form", "automaton"}
 
+    @pytest.mark.parametrize(
+        "guard, message", [("-1", "must be >= 0, got -1"), ("x", "invalid int value: 'x'")]
+    )
+    def test_guard_below_0_or_not_an_int_exits_1(self, capsys, guard, message):
+        argv = ("verify", "--q", "2", "--t", "4", "--pattern", "ab=1", "--guard", guard)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == f"error: argument --guard: {message}\n"
+
     def test_guard_refusal_exits_4(self, capsys):
         code, out, err = run(
             capsys,
@@ -549,6 +558,17 @@ class TestVerify:
         assert payload["agree"] is False
         assert payload["values"]["automaton"] == "999"
 
+    def test_word_past_the_recursion_limit_exits_4_without_a_traceback(self):
+        # 2**1200 words fit the guard, but the walk would recurse 1,200 deep
+        result = run_fresh(
+            "subwordcount", "verify", "--q", "2", "--t", "1200", "--pattern", "a=1200",
+            "--oracle", "enum", "--guard", str(10**400),
+        )
+        assert result.returncode == EXIT_REFUSED
+        assert "recursion limit" in result.stderr
+        assert len(result.stderr.splitlines()) == 1
+        assert "Traceback" not in result.stderr
+
 
 class TestValidate:
     def test_overlapping_pair_rejected(self, capsys):
@@ -571,138 +591,6 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", "--q", "2", "--t", "4", "--pattern", "aba=2")
         assert code == EXIT_NOT_APPLICABLE
         assert json.loads(out)["self_intersecting"] == [True]
-
-
-class TestBench:
-    def test_json_shape_and_agreement(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "bench", "--q", "4", "--t", "6", "--t", "8", "--pattern", "abb=2",
-            "--method", "closed_form", "--method", "enumeration", "--method", "automaton",
-            "--reps", "1",
-        )
-        assert code == EXIT_OK
-        rows = json.loads(out)["rows"]
-        for row in rows:
-            assert list(row) == [
-                "method", "q", "t", "pattern_lengths", "required_counts",
-                "wall_seconds", "count_digits",
-            ]
-        assert len(rows) == 6
-        assert [r["t"] for r in rows] == [6] * 3 + [8] * 3
-        digits = {(r["t"], r["count_digits"]) for r in rows}
-        assert len(digits) == 2  # per t, all methods report the same digit count
-
-    def test_json_rows(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "bench", "--q", "4", "--t", "10", "--pattern", "abb=2",
-            "--method", "closed_form",
-        )
-        assert code == EXIT_OK
-        rows = json.loads(out)["rows"]
-        assert rows[0]["method"] == "closed_form"
-        assert rows[0]["q"] == 4
-        assert rows[0]["t"] == 10
-        assert rows[0]["pattern_lengths"] == [3]
-        assert rows[0]["required_counts"] == [2]
-
-    def test_method_refusing_everything_exits_4(self, capsys):
-        code, out, err = run(
-            capsys,
-            "bench", "--q", "4", "--t", "20", "--pattern", "abb=2",
-            "--method", "enumeration", "--guard", "100",
-        )
-        assert code == EXIT_REFUSED
-        assert "refused" in err
-
-    def test_partial_refusal_keeps_other_rows(self, capsys):
-        code, out, err = run(
-            capsys,
-            "bench", "--q", "4", "--t", "4", "--t", "20", "--pattern", "abb=2",
-            "--method", "closed_form", "--method", "enumeration",
-            "--guard", "100000", "--reps", "1",
-        )
-        assert code == EXIT_OK
-        rows = json.loads(out)["rows"]
-        methods_at_20 = [r["method"] for r in rows if r["t"] == 20]
-        assert methods_at_20 == ["closed_form"]
-        assert "skipped" in err
-
-    def test_disagreement_exits_3(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "dp_count", lambda instance: 1)
-        code, _, err = run(
-            capsys,
-            "bench", "--q", "4", "--t", "8", "--pattern", "abb=2",
-            "--method", "closed_form", "--method", "automaton", "--reps", "1",
-        )
-        assert code == EXIT_DISAGREE
-        assert "disagree" in err
-
-    def test_multi_pattern_defaults_broadcast(self, capsys):
-        # rows name every pattern's length and required count
-        code, out, _ = run(
-            capsys,
-            "bench", "--q", "6", "--t", "12", "--pattern", "ab=1", "--pattern", "cdd=1",
-            "--reps", "1",
-        )
-        assert code == EXIT_OK
-        rows = json.loads(out)["rows"]
-        assert rows[0]["pattern_lengths"] == [2, 3]
-        assert rows[0]["required_counts"] == [1, 1]
-
-    def test_count_digits_past_the_int_str_digit_limit(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "bench", "--q", "36", "--t", "3000", "--pattern", "abb=1",
-            "--reps", "1",
-        )
-        assert code == EXIT_OK
-        assert json.loads(out)["rows"][0]["count_digits"] == 4668
-
-    def test_inapplicable_reports_and_exits_2(self, capsys):
-        code, out, err = run(
-            capsys, "bench", "--q", "2", "--t", "6", "--pattern", "aba=1", "--reps", "1"
-        )
-        assert code == EXIT_NOT_APPLICABLE
-        assert out == ""
-        assert json.loads(err)["self_intersecting"] == [True]
-
-    def test_inapplicable_exits_2_before_timing_any_method(self, capsys, monkeypatch):
-        def timed(*args):
-            raise AssertionError("enumeration timed")
-
-        monkeypatch.setattr(cli, "enumerate_count", timed)
-        code, out, err = run(
-            capsys, "bench", "--q", "2", "--t", "16", "--t", "18", "--pattern", "aba=1",
-            "--method", "enumeration", "--method", "closed_form", "--reps", "1",
-        )
-        assert code == EXIT_NOT_APPLICABLE
-        assert out == ""
-        assert json.loads(err)["self_intersecting"] == [True]
-
-    def test_document_input_rows_carry_its_instance(self, capsys, tmp_path):
-        document = {
-            "alphabet": {"symbols": ["A", "C", "G", "T"]},
-            "length": 12,
-            "patterns": [{"pattern": "AT", "count": 1}, {"pattern": "GCC", "count": 2}],
-        }
-        path = tmp_path / "instance.json"
-        path.write_text(json.dumps(document))
-        code, out, _ = run(
-            capsys,
-            "bench", "--input", str(path),
-            "--method", "closed_form", "--method", "automaton", "--reps", "1",
-        )
-        assert code == EXIT_OK
-        rows = json.loads(out)["rows"]
-        assert [row["method"] for row in rows] == ["closed_form", "automaton"]
-        expected = count_multi(parse_document(document)).total
-        for row in rows:
-            assert (row["q"], row["t"]) == (4, 12)
-            assert row["pattern_lengths"] == [2, 3]
-            assert row["required_counts"] == [1, 2]
-            assert row["count_digits"] == len(str(expected))
 
 
 json_values = st.recursive(
@@ -803,29 +691,6 @@ class TestExitContract:
             code = main(argv)
         assert code in {EXIT_OK, EXIT_INPUT, EXIT_NOT_APPLICABLE, EXIT_DISAGREE, EXIT_REFUSED}
 
-    @given(
-        ts=st.lists(st.integers(-1, 8), max_size=3),
-        alphabet=alphabet_flags,
-        patterns=pattern_flags,
-        methods=st.lists(
-            st.sampled_from(["closed_form", "enumeration", "automaton"]), max_size=3
-        ),
-    )
-    @example(ts=[6], alphabet=["--q", "2"], patterns=["aba=1"], methods=[])  # bordered
-    @example(  # overlapping, timed by the oracles only
-        ts=[5, 6], alphabet=["--q", "3"], patterns=["ab=1", "ba=1"], methods=["automaton"]
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_bench_argv_exits_within_the_contract(self, ts, alphabet, patterns, methods):
-        # keep enumeration small; refusing every instance is exit 4
-        argv = ["bench", *alphabet, "--reps", "1", "--guard", "20000"]
-        for flag, values in (("--t", ts), ("--pattern", patterns), ("--method", methods)):
-            for value in values:
-                argv += [flag, str(value)]
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = main(argv)
-        assert code in {EXIT_OK, EXIT_INPUT, EXIT_NOT_APPLICABLE, EXIT_DISAGREE, EXIT_REFUSED}
-
 
 def run_fresh(module, *argv, stdout=subprocess.PIPE, unbuffered=False):
     """``python -m module argv`` in a new interpreter, on this checkout.
@@ -873,30 +738,27 @@ class TestSharedParser:
 
     def test_no_flag_or_default_carries_over_between_calls(self, capsys, monkeypatch):
         first = [
-            "bench", "--q", "2", "--t", "4", "--t", "6", "--pattern", "ab=1",
-            "--method", "closed_form", "--method", "automaton",
-            "--reps", "1", "--guard", "0",
+            "verify", "--q", "3", "--t", "4", "--pattern", "ab=1", "--pattern", "cb=1",
+            "--guard", "0", "--oracle", "automaton",
         ]
-        second = ["bench", "--q", "2", "--t", "5", "--pattern", "ab=1", "--method", "enumeration"]
+        second = ["verify", "--q", "3", "--t", "5", "--pattern", "ab=1"]
         code, out, _ = run(capsys, *first)
         assert code == EXIT_OK
-        assert [(r["method"], r["t"]) for r in json.loads(out)["rows"]] == [
-            ("closed_form", 4), ("automaton", 4), ("closed_form", 6), ("automaton", 6)
-        ]
+        assert list(json.loads(out)["values"]) == ["closed_form", "automaton"]
 
-        timed = []
-        enumeration = cli.METHODS["enumeration"]
-        monkeypatch.setitem(
-            cli.METHODS, "enumeration", lambda *args: timed.append(args) or enumeration(*args)
-        )
+        guards, patterns = [], []
+        for name, method in list(cli.METHODS.items()):
+            def spy(instance, guard, method=method):
+                guards.append(guard)
+                patterns.append(instance.patterns)
+                return method(instance, guard)
+
+            monkeypatch.setitem(cli.METHODS, name, spy)
         code, out, _ = run(capsys, *second)
         assert code == EXIT_OK  # a guard of 0 left from the first call would refuse
-        rows = json.loads(out)["rows"]
-        assert [(r["method"], r["t"], r["pattern_lengths"]) for r in rows] == [
-            ("enumeration", 5, [2])
-        ]
-        assert len(timed) == 3  # the default --reps, not the first call's 1
-        assert timed[0][1] == cli.DEFAULT_GUARD
+        assert list(json.loads(out)["values"]) == ["closed_form", "enumeration", "automaton"]
+        assert guards == [cli.DEFAULT_GUARD] * 3
+        assert all(len(p) == 1 for p in patterns)
 
         shared = cli._build_parser()
         shared.parse_args(first)
@@ -922,13 +784,10 @@ class TestSharedParser:
         ("count", "--q", "2", "--t", "4", "--pattern", "ab=1", "--breakdown"),
         ("verify", "--q", "2", "--t", "4", "--pattern", "ab=1"),
         ("validate", "--q", "2", "--t", "4", "--pattern", "ab=1"),
-        ("bench", "--q", "4", "--t", "6", "--t", "8", "--pattern", "abb=2", "--reps", "1"),
     ],
-    ids=["count", "breakdown", "verify", "validate", "bench"],
+    ids=["count", "breakdown", "verify", "validate"],
 )
-def test_every_command_prints_one_json_document(capsys, monkeypatch, tmp_path, argv):
-    # bench's timings would differ between the two calls
-    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+def test_every_command_prints_one_json_document(capsys, tmp_path, argv):
     code, out, _ = run(capsys, *argv)
     assert code == EXIT_OK
     assert out == json.dumps(json.loads(out), indent=2) + "\n"

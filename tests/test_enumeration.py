@@ -1,5 +1,7 @@
 import itertools
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -115,6 +117,35 @@ class TestEnumerateCount:
             enumerate_count(inst)
         with pytest.raises(BudgetExceededError):
             occurrence_profile_counts(NoPower(36), 10**7, [(0,)])
+
+
+    def test_word_past_the_recursion_limit_is_refused(self):
+        # within the guard, but one nested call per symbol would overflow the stack
+        with pytest.raises(BudgetExceededError, match="recursion limit"):
+            occurrence_profile_counts(2, sys.getrecursionlimit(), [(0,)], guard=10**400)
+
+    def test_no_recursion_limit_overflows_the_walk(self):
+        # lowering the limit step by step, the call completes and then is
+        # refused; it may fail before the walk, but the walk never overflows
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        default, outcomes = sys.getrecursionlimit(), ""
+        try:
+            for limit in range(depth + 100, depth + 20, -1):
+                sys.setrecursionlimit(limit)
+                try:
+                    histogram = occurrence_profile_counts(2, 8, [(0, 1)])
+                except BudgetExceededError:
+                    outcomes += "R"
+                except RecursionError:
+                    outcomes += "E"
+                else:
+                    assert sum(histogram.values()) == 2**8
+                    outcomes += "O"
+        finally:
+            sys.setrecursionlimit(default)
+        assert re.fullmatch("O+R+E*", outcomes), outcomes
 
 
 class TestOccurrenceProfileCounts:
