@@ -1,9 +1,10 @@
 """Polynomial meets exponential: timing the three counting methods.
 
 Enumeration cost is q**t, so each +2 in word length multiplies its wall
-time by q**2 (16x for DNA).  The closed form evaluates a summation of
-O(t**2 / a_min) terms, a_min the shortest pattern length: polynomial in
-t, with big-integer arithmetic on top.
+time by q**2 (16x for DNA).  The closed form reads one coefficient of a
+rational function: for one pattern of length a, as here, a sum of about
+t / a terms, and for patterns of mixed lengths a recurrence of about t
+steps.  Either is polynomial in t, with big-integer arithmetic on top.
 Word lengths to sweep may be given as arguments:
 
     python demos/05_benchmark.py 8 10 12

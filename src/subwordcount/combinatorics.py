@@ -4,9 +4,9 @@ Out-of-range binomials are 0 rather than errors, though the closed form
 passes only in-range arguments.  Everything returns exact Python ints,
 never floats.
 
-The closed form calls ``multichoose`` and ``binomial`` once per copy-count
-layer J, not once per (J, L) term: within a layer it steps the fill
-weight from term to term by an exact small ratio.
+The closed form's layer sum, which counts instances whose patterns share
+one length, calls ``multichoose`` and ``binomial`` once per copy-count
+layer J; its coefficient recurrence, for mixed lengths, calls neither.
 """
 
 from __future__ import annotations

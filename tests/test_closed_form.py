@@ -2,7 +2,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import borderless_patterns, independent_pattern_pairs
@@ -135,8 +135,9 @@ def disjoint_instances(draw):
 
 
 class TestCollapsedTotal:
-    """The (J, L) total against the per-tuple reference sum and the
-    automaton oracle, two values computed without it."""
+    """The total, by the layer sum or the coefficient recurrence, against
+    the per-tuple reference sum and the automaton oracle, two values
+    computed without it, and the two evaluators against each other."""
 
     @given(disjoint_instances())
     # t = 0 with nothing required, t = 0 with a copy required, copies that
@@ -214,22 +215,47 @@ class TestCollapsedTotal:
         monkeypatch.setattr(closed_form, "multichoose", counted)
         return calls
 
-    def test_one_multichoose_per_layer_on_mixed_lengths(self, monkeypatch):
-        # lengths 3 and 4 at t = 300: layer J has up to J + 1 values of L,
-        # and every one of them is a term, but only the layer calls multichoose
+    def test_mixed_lengths_take_the_recurrence(self, monkeypatch):
+        # lengths 3 and 4 at t = 300: the coefficient recurrence, which
+        # calls no multichoose, and still the per-tuple sum
         inst = ProblemInstance.from_pairs(8, 300, [((0, 2, 2), 1), ((1, 2, 2, 2), 2)])
         calls = self._count_multichoose(monkeypatch)
         total = count_multi(inst).total
-        free = 300 - 3 * 1 - 4 * 2
-        layers = free // 3 + 1
-        terms = sum(
-            1
-            for j in range(layers)
-            for length in range(3 * j, min(4 * j, free) + 1)
-        )
-        assert len(calls) == layers
-        assert terms > 10 * layers
+        assert calls == []
         assert total == sum(value for _, value in closed_form.per_tuple_terms(inst))
+
+    def test_one_length_takes_one_multichoose_per_layer(self, monkeypatch):
+        # three length-3 patterns at t = 300: one term, so one call, per
+        # layer J = 0 to free // 3; past the breakdown's cap, so the
+        # recurrence checks the total
+        pairs = [((0, 3, 3), 1), ((1, 3, 3), 0), ((2, 3, 3), 2)]
+        inst = ProblemInstance.from_pairs(5, 300, pairs)
+        calls = self._count_multichoose(monkeypatch)
+        total = count_multi(inst).total
+        free = 300 - 3 * 3
+        assert calls == [(3 + j + 1, free - 3 * j) for j in range(free // 3 + 1)]
+        assert total == closed_form._recurrence_total(inst)
+
+    @given(
+        st.integers(1, 3),
+        st.integers(1, 30),
+        st.lists(st.integers(0, 3), min_size=3, max_size=3),
+        st.integers(0, 4),
+        st.integers(0, 500),
+    )
+    # every symbol a length-1 pattern, so D(z) = 1 and no symbol fills a gap
+    @example(2, 1, [1, 2, 0], 0, 3)
+    @example(1, 30, [0, 0, 0], 1, 500)
+    @settings(max_examples=100, deadline=None)
+    def test_layer_sum_and_recurrence_agree_on_one_length(self, d, length, required, fillers, t):
+        # each pattern is its own head symbol then filler symbols, so all
+        # are borderless and no two overlap; t reaches past what the
+        # per-tuple sum lists quickly, so each evaluator checks the other
+        assume(fillers or length == 1)
+        pairs = [((head,) + (d,) * (length - 1), required[head]) for head in range(d)]
+        inst = ProblemInstance.from_pairs(max(2, d + fillers), t, pairs)
+        assert validate_instance(inst).is_formula_applicable
+        assert closed_form._collapsed_total(inst) == closed_form._recurrence_total(inst)
 
     def test_one_pattern_work_is_one_multichoose_per_copy_count(self, monkeypatch):
         # the longest benchmark CLI row: one call per term, J = 0 to free // 3,
@@ -285,6 +311,18 @@ class TestCollapsedTotal:
         # tens of kB; one big integer kept per free position (3,853 of
         # them) would take over 5 MB
         inst = ProblemInstance.from_pairs(36, 3855, [((0, 1, 1), 1)])
+        tracemalloc.start()
+        try:
+            count_multi(inst).total
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_recurrence_memory_stays_small_on_long_mixed_lengths(self):
+        # lengths 3 and 4 at t = 4000: the recurrence keeps a window of four
+        # coefficients; keeping every one of the ~4,000 would take megabytes
+        inst = ProblemInstance.from_pairs(4, 4000, [((0, 2, 2), 1), ((1, 2, 2, 2), 1)])
         tracemalloc.start()
         try:
             count_multi(inst).total
