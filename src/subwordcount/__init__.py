@@ -6,10 +6,11 @@ one-pattern case; the two oracles (``enumerate_count``, ``dp_count``)
 recompute the same numbers by exhaustive enumeration and by
 automaton-based mass propagation.  The closed form requires patterns
 with no self-intersection and no pairwise overlap; ``validate_instance``
-checks that, and the oracles do not care.  Beside these the package
-exports only the instance types, the two errors and the two guard
-defaults; ``CountBreakdown`` (``subwordcount.core``) and the other
-internals import from their modules.
+checks that, and the oracles do not care.  An instance is a
+``ProblemInstance`` of plain (pattern, count) pairs, each pattern a
+tuple of symbols; beside these the package exports only the two errors
+and the two guard defaults.  ``CountBreakdown`` (``subwordcount.core``)
+and the other internals import from their modules.
 """
 
 from .automaton import DEFAULT_STEP_BUDGET, dp_count
@@ -17,8 +18,6 @@ from .closed_form import count_multi, count_single
 from .core import (
     BudgetExceededError,
     NotApplicableError,
-    Pattern,
-    PatternSpec,
     ProblemInstance,
     ValidationReport,
     validate_instance,
@@ -32,8 +31,6 @@ __all__ = [
     "DEFAULT_GUARD",
     "DEFAULT_STEP_BUDGET",
     "NotApplicableError",
-    "Pattern",
-    "PatternSpec",
     "ProblemInstance",
     "ValidationReport",
     "count_multi",

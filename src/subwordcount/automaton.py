@@ -58,7 +58,7 @@ DEFAULT_STEP_BUDGET = 10**9
 
 @dataclass(frozen=True)
 class MatchAutomaton:
-    """Pattern-matching automaton over integer symbols.
+    """A pattern-matching automaton over integer symbols.
 
     States are the distinct pattern prefixes, numbered shortest first and,
     among prefixes of one length, in the order of the first pattern that
@@ -91,11 +91,11 @@ class MatchAutomaton:
 def build_automaton(alphabet_size: int, patterns: Sequence) -> MatchAutomaton:
     """Build the matching automaton for a pattern collection.
 
-    Accepts Pattern objects or raw symbol sequences.  Patterns must be
-    nonempty and use symbols below alphabet_size.
+    Patterns are any symbol sequences, such as ``ProblemInstance.patterns``;
+    they must be nonempty and use symbols below alphabet_size.
     """
     require_int("alphabet_size", alphabet_size, 1)
-    targets = [tuple(getattr(p, "symbols", p)) for p in patterns]
+    targets = [tuple(p) for p in patterns]
     for target in targets:
         if not target:
             raise ValueError("patterns must be nonempty")

@@ -73,7 +73,6 @@ from .core import (
     BudgetExceededError,
     CountBreakdown,
     NotApplicableError,
-    PatternSpec,
     ProblemInstance,
     require_int,
     validate_instance,
@@ -250,7 +249,7 @@ def per_tuple_terms(instance: ProblemInstance) -> Iterator[tuple[tuple[int, ...]
 
 
 def iter_copy_counts(
-    word_length: int, specs: Sequence[PatternSpec]
+    word_length: int, specs: Sequence[tuple[Sequence[int], int]]
 ) -> Iterator[tuple[int, ...]]:
     """Yield every feasible copy-count tuple in lexicographic order.
 
@@ -267,8 +266,8 @@ def iter_copy_counts(
     """
     if not specs:
         raise ValueError("specs must be nonempty")
-    lengths = [spec.pattern.length for spec in specs]
-    minimums = [spec.required_count for spec in specs]
+    lengths = [len(pattern) for pattern, _ in specs]
+    minimums = [count for _, count in specs]
     shortest = min(lengths)
     copies = list(minimums)  # the first tuple: every count at its minimum
     raised: list[int] = []  # the positions above their minimum, in increasing order

@@ -1,9 +1,11 @@
 """Domain types for exact pattern-occurrence counting problems.
 
-A problem instance fixes an alphabet size q, a word length t, and a list
-of patterns, each paired with the number of times it must occur.  Symbols
-are plain integers in ``range(q)`` and patterns are tuples of symbols;
-optional symbol names are cosmetic and never enter any computation.
+A problem instance fixes an alphabet size q, a word length t, and plain
+(pattern, count) pairs: each pattern is a tuple of symbols, each count
+the number of times it must occur.  Symbols are plain integers in
+``range(q)``; optional symbol names are cosmetic and never enter any
+computation.  ``ProblemInstance`` is the one place input values are
+checked.
 
 Everything is immutable after construction and every function is pure, so
 unrestricted concurrent use is safe.
@@ -57,67 +59,56 @@ def require_int(name: str, value, minimum: int) -> None:
 
 
 @dataclass(frozen=True)
-class Pattern:
-    """A nonempty sequence of symbol indices."""
-
-    symbols: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "symbols", tuple(self.symbols))
-        if not self.symbols:
-            raise ValueError("pattern must be nonempty")
-        for s in self.symbols:
-            if not isinstance(s, int) or isinstance(s, bool) or s < 0:
-                raise ValueError(f"pattern symbols must be nonnegative integers, got {s!r}")
-
-    @property
-    def length(self) -> int:
-        return len(self.symbols)
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-
-@dataclass(frozen=True)
-class PatternSpec:
-    """A pattern together with its required exact occurrence count."""
-
-    pattern: Pattern
-    required_count: int
-
-    def __post_init__(self):
-        if not isinstance(self.pattern, Pattern):
-            object.__setattr__(self, "pattern", Pattern(tuple(self.pattern)))
-        require_int("required_count", self.required_count, 0)
-
-
-@dataclass(frozen=True)
 class ProblemInstance:
-    """One counting problem: alphabet, word length, pattern requirements."""
+    """One counting problem: alphabet, word length, pattern requirements.
+
+    ``specs`` holds (pattern, required count) pairs, each pattern a
+    nonempty tuple of symbols in ``range(alphabet_size)``.  Any sequences
+    may be passed; they are stored as tuples, so list and tuple spellings
+    of one instance are equal.  Every value is checked here, once: a size,
+    length or count that is not an int (or is a bool), or a spec that is
+    not a pair, raises TypeError; an empty, out-of-range or repeated
+    pattern, a negative count or a bad symbol name raises ValueError.
+    """
 
     alphabet_size: int
     word_length: int
-    specs: tuple[PatternSpec, ...]
+    specs: tuple[tuple[tuple[int, ...], int], ...]
     symbol_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "specs", tuple(self.specs))
         require_int("alphabet_size", self.alphabet_size, 2)
         require_int("word_length", self.word_length, 0)
-        if not self.specs:
-            raise ValueError("at least one pattern spec is required")
+        specs = []
         seen: set[tuple[int, ...]] = set()
         for spec in self.specs:
-            if not isinstance(spec, PatternSpec):
-                raise TypeError(f"specs must contain PatternSpec, got {spec!r}")
-            if max(spec.pattern.symbols) >= self.alphabet_size:
+            try:
+                pattern, count = spec
+                pattern = tuple(pattern)
+            except (TypeError, ValueError):
+                raise TypeError(
+                    f"each spec must be a (pattern, count) pair with a sequence of "
+                    f"symbols as its pattern, got {spec!r}"
+                ) from None
+            if not pattern:
+                raise ValueError("pattern must be nonempty")
+            for s in pattern:
+                if not isinstance(s, int) or isinstance(s, bool) or s < 0:
+                    raise ValueError(f"pattern symbols must be nonnegative integers, got {s!r}")
+            if max(pattern) >= self.alphabet_size:
                 raise ValueError(
-                    f"pattern {spec.pattern.symbols} uses symbols outside the "
+                    f"pattern {pattern} uses symbols outside the "
                     f"{self.alphabet_size}-symbol alphabet"
                 )
-            if spec.pattern.symbols in seen:
-                raise ValueError(f"duplicate pattern {spec.pattern.symbols}")
-            seen.add(spec.pattern.symbols)
+            # hashed only once every symbol is known to be an int
+            if pattern in seen:
+                raise ValueError(f"duplicate pattern {pattern}")
+            seen.add(pattern)
+            require_int("required_count", count, 0)
+            specs.append((pattern, count))
+        if not specs:
+            raise ValueError("at least one pattern spec is required")
+        object.__setattr__(self, "specs", tuple(specs))
         if self.symbol_names is not None:
             names = tuple(self.symbol_names)
             object.__setattr__(self, "symbol_names", names)
@@ -137,28 +128,26 @@ class ProblemInstance:
         symbol_names: Sequence[str] | None = None,
     ) -> "ProblemInstance":
         """Build an instance from (symbol sequence, required count) pairs."""
-        specs = tuple(PatternSpec(Pattern(tuple(p)), x) for p, x in pairs)
-        names = tuple(symbol_names) if symbol_names is not None else None
-        return cls(alphabet_size, word_length, specs, names)
+        return cls(alphabet_size, word_length, pairs, symbol_names)
 
     @property
-    def patterns(self) -> tuple[Pattern, ...]:
-        return tuple(spec.pattern for spec in self.specs)
+    def patterns(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(pattern for pattern, _ in self.specs)
 
     @property
     def pattern_lengths(self) -> tuple[int, ...]:
-        return tuple(spec.pattern.length for spec in self.specs)
+        return tuple(len(pattern) for pattern, _ in self.specs)
 
     @property
     def required_counts(self) -> tuple[int, ...]:
-        return tuple(spec.required_count for spec in self.specs)
+        return tuple(count for _, count in self.specs)
 
     @property
     def minimum_occupancy(self) -> int:
         """Positions consumed when every pattern occurs its required number
         of times.  Larger than word_length means the count is 0, which is
         not an error."""
-        return sum(s.pattern.length * s.required_count for s in self.specs)
+        return sum(len(pattern) * count for pattern, count in self.specs)
 
 
 @dataclass(frozen=True, repr=False)
@@ -235,7 +224,7 @@ def validate_instance(instance: ProblemInstance) -> ValidationReport:
     A pair with no symbol in common cannot share a position and is
     skipped.  Validation never fails; it reports.
     """
-    pats = [spec.pattern.symbols for spec in instance.specs]
+    pats = instance.patterns
     self_flags = tuple(overlap.is_self_intersecting(p) for p in pats)
     held = [frozenset(p) for p in pats]
     pairs = []

@@ -25,7 +25,7 @@ DEFAULT_GUARD = 10**8
 def count_occurrences(word: Sequence, pattern: Sequence) -> int:
     """Occurrences of ``pattern`` in ``word`` at every start position,
     overlapping occurrences included."""
-    target = tuple(getattr(pattern, "symbols", pattern))
+    target = tuple(pattern)
     if not target:
         raise ValueError("pattern must be nonempty")
     text = tuple(word)
@@ -62,8 +62,7 @@ def occurrence_profile_counts(
     an empty pattern list, an empty pattern, a symbol outside the alphabet
     or a repeated pattern raises ValueError.
     """
-    pairs = [(getattr(p, "symbols", p), 0) for p in patterns]
-    instance = ProblemInstance.from_pairs(alphabet_size, word_length, pairs)
+    instance = ProblemInstance(alphabet_size, word_length, [(p, 0) for p in patterns])
     # Multiply one symbol at a time and stop once past the guard: the full
     # power q**t of a huge word length would take seconds just to compute.
     # The guard is checked before the first symbol too: t = 0 has one word.
@@ -87,7 +86,7 @@ def occurrence_profile_counts(
             f"calls than the recursion limit of {sys.getrecursionlimit()} allows"
         )
     # word[start:] is the word's last len(pattern) symbols
-    windows = [(pattern.symbols, -pattern.length) for pattern in instance.patterns]
+    windows = [(pattern, -len(pattern)) for pattern in instance.patterns]
     histogram: dict[tuple[int, ...], int] = {}
 
     def extend(prefix: tuple[int, ...], counts: tuple[int, ...]) -> None:

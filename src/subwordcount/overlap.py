@@ -12,8 +12,8 @@ every position they share; ``can_overlap`` finds such a placement with
 two failure-function passes, one over each pattern, a sentinel and the
 other, so it too is linear in the two lengths.
 
-All functions accept either a ``core.Pattern`` or any plain sequence whose
-elements compare by equality, so tests can use strings directly.
+All functions accept any sequence whose elements compare by equality,
+so tests can use strings directly.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Sequence
 
 
 def _symbols(pattern) -> tuple:
-    symbols = tuple(getattr(pattern, "symbols", pattern))
+    symbols = tuple(pattern)
     if not symbols:
         raise ValueError("pattern must be nonempty")
     return symbols

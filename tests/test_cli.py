@@ -49,7 +49,7 @@ class TestParseDocument:
             {"alphabet": {"size": 3}, "length": 5, "patterns": [{"pattern": "ab", "count": 1}]}
         )
         assert inst.alphabet_size == 3
-        assert inst.specs[0].pattern.symbols == (0, 1)
+        assert inst.patterns[0] == (0, 1)
         assert inst.symbol_names is None
 
     def test_named_alphabet(self):
@@ -61,14 +61,14 @@ class TestParseDocument:
             }
         )
         assert inst.alphabet_size == 4
-        assert inst.specs[0].pattern.symbols == (0, 3, 2)
+        assert inst.patterns[0] == (0, 3, 2)
         assert inst.symbol_names == ("A", "C", "G", "T")
 
     def test_index_list_patterns(self):
         inst = parse_document(
             {"alphabet": {"size": 5}, "length": 4, "patterns": [{"pattern": [4, 0], "count": 0}]}
         )
-        assert inst.specs[0].pattern.symbols == (4, 0)
+        assert inst.patterns[0] == (4, 0)
 
     def test_multi_character_symbols_need_index_lists(self):
         document = {
@@ -79,7 +79,7 @@ class TestParseDocument:
         with pytest.raises(DocumentError):
             parse_document(document)
         document["patterns"] = [{"pattern": [0, 1], "count": 1}]
-        assert parse_document(document).specs[0].pattern.symbols == (0, 1)
+        assert parse_document(document).patterns[0] == (0, 1)
 
     @pytest.mark.parametrize(
         "document",

@@ -9,7 +9,6 @@ from helpers import borderless_patterns, independent_pattern_pairs
 from subwordcount import (
     BudgetExceededError,
     NotApplicableError,
-    PatternSpec,
     ProblemInstance,
     closed_form,
     count_multi,
@@ -335,8 +334,8 @@ class TestCollapsedTotal:
 def odometer_copy_counts(word_length, specs):
     """The reference walker: an odometer that steps back over every
     trailing position, one at a time, to find one with room."""
-    lengths = [spec.pattern.length for spec in specs]
-    minimums = [spec.required_count for spec in specs]
+    lengths = [len(pattern) for pattern, _ in specs]
+    minimums = [count for _, count in specs]
     copies = list(minimums)
     free = word_length - sum(a * i for a, i in zip(lengths, copies))
     while free >= 0:
@@ -362,16 +361,16 @@ class TestIterCopyCounts:
                 lengths = [rng.randint(1, 5) for _ in range(d)]
             else:
                 lengths = [rng.randint(1, 3)] * d
-            specs = [PatternSpec((0,) * a, rng.randint(0, 2)) for a in lengths]
+            specs = [((0,) * a, rng.randint(0, 2)) for a in lengths]
             t = rng.randint(0, 20)
             assert list(iter_copy_counts(t, specs)) == list(odometer_copy_counts(t, specs))
 
     def test_single_pattern_range(self):
-        specs = (PatternSpec((0, 1), 2),)
+        specs = (((0, 1), 2),)
         assert list(iter_copy_counts(9, specs)) == [(2,), (3,), (4,)]
 
     def test_two_patterns_lexicographic_and_feasible(self):
-        specs = (PatternSpec((0, 1), 1), PatternSpec((2, 3), 1))
+        specs = (((0, 1), 1), ((2, 3), 1))
         tuples = list(iter_copy_counts(7, specs))
         assert tuples == sorted(tuples)
         for i1, i2 in tuples:
@@ -380,12 +379,12 @@ class TestIterCopyCounts:
         assert (1, 1) in tuples and (2, 1) in tuples
 
     def test_empty_when_infeasible(self):
-        specs = (PatternSpec((0, 1, 2), 4),)
+        specs = (((0, 1, 2), 4),)
         assert list(iter_copy_counts(5, specs)) == []
 
     def test_more_patterns_than_the_recursion_limit(self):
         # one walk level per pattern would pass Python's 1,000-frame limit
-        specs = tuple(PatternSpec((s,), 0) for s in range(1200))
+        specs = tuple(((s,), 0) for s in range(1200))
         tuples = list(iter_copy_counts(1, specs))
         assert len(tuples) == 1201
         assert tuples == sorted(tuples)

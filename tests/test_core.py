@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from subwordcount import (
     NotApplicableError,
-    Pattern,
-    PatternSpec,
     ProblemInstance,
     ValidationReport,
     count_multi,
@@ -27,12 +25,12 @@ SINGLE_ARGS = {"alphabet_size": 2, "word_length": 4, "pattern_length": 2, "requi
 INTEGER_FIELDS = {
     "ProblemInstance": (
         lambda alphabet_size=2, word_length=4: ProblemInstance(
-            alphabet_size, word_length, (PatternSpec((0, 1), 1),)
+            alphabet_size, word_length, (((0, 1), 1),)
         ),
         ("alphabet_size", "word_length"),
     ),
-    "PatternSpec": (
-        lambda required_count=1: PatternSpec((0, 1), required_count),
+    "from_pairs": (
+        lambda required_count=1: ProblemInstance.from_pairs(2, 4, [((0, 1), required_count)]),
         ("required_count",),
     ),
     "count_single": (lambda **kw: count_single(**{**SINGLE_ARGS, **kw}), tuple(SINGLE_ARGS)),
@@ -67,37 +65,48 @@ def test_non_int_values_rejected_with_type_error(entry, field, value):
         build(**{field: value})
 
 
+# specs that are not a (pattern, count) pair with a sequence as its pattern
+NOT_PAIRS = [5, None, ((0, 1),), ((0, 1), 1, 1), (5, 1)]
+
+
+def one_pattern(pattern, count=1):
+    return ProblemInstance(3, 6, [(pattern, count)])
+
+
 class TestPattern:
+    """The pattern half of a spec, as ``ProblemInstance`` checks it."""
+
     def test_coerces_to_tuple(self):
-        assert Pattern([0, 1, 2]).symbols == (0, 1, 2)
+        assert one_pattern([0, 1, 2]).patterns == ((0, 1, 2),)
 
     def test_length(self):
-        p = Pattern((0, 1))
-        assert p.length == 2
-        assert len(p) == 2
+        assert one_pattern((0, 1)).pattern_lengths == (2,)
+        assert one_pattern([0, 1, 2, 0]).pattern_lengths == (4,)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            Pattern(())
+            one_pattern(())
 
     def test_rejects_bad_symbols(self):
         with pytest.raises(ValueError):
-            Pattern((0, -1))
+            one_pattern((0, -1))
         with pytest.raises(ValueError):
-            Pattern((0, "a"))
+            one_pattern((0, "a"))
         with pytest.raises(ValueError):
-            Pattern((True, 0))
+            one_pattern((True, 0))
 
 
 class TestPatternSpec:
+    """A (pattern, count) pair, as ``ProblemInstance`` checks and stores it."""
+
     def test_coerces_raw_sequence(self):
-        spec = PatternSpec((0, 1), 2)
-        assert isinstance(spec.pattern, Pattern)
-        assert spec.pattern.symbols == (0, 1)
+        inst = ProblemInstance(3, 6, [[[0, 1], 2]])
+        assert inst.specs == (((0, 1), 2),)
+        assert type(inst.specs[0]) is tuple and type(inst.specs[0][0]) is tuple
 
     def test_rejects_negative_count(self):
         with pytest.raises(ValueError):
-            PatternSpec((0, 1), -1)
+            one_pattern((0, 1), -1)
 
 
 class TestProblemInstance:
@@ -144,6 +153,84 @@ class TestProblemInstance:
     def test_infeasible_occupancy_is_not_an_error(self):
         inst = ProblemInstance.from_pairs(2, 3, [((0, 1), 5)])
         assert inst.minimum_occupancy == 10
+
+    @pytest.mark.parametrize("spec", NOT_PAIRS)
+    def test_a_spec_that_is_not_a_pair_names_the_pair_form(self, spec):
+        with pytest.raises(TypeError, match=r"\(pattern, count\) pair"):
+            ProblemInstance.from_pairs(2, 4, [spec])
+
+    def test_symbols_are_checked_before_the_pattern_is_hashed(self):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            ProblemInstance.from_pairs(2, 4, [([0, [1]], 1)])
+
+
+# one fault each, injected into a valid 5-symbol instance: every bad
+# symbol raises ValueError, a bad count the error listed with it
+BAD_SYMBOLS = st.one_of(
+    st.integers(max_value=-1),
+    st.integers(5, 10**30),
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.text(max_size=2),
+    st.lists(st.integers(0, 1), max_size=2),
+)
+BAD_COUNTS = {
+    "bool": (st.booleans(), TypeError),
+    "float": (st.floats(allow_nan=False), TypeError),
+    "string": (st.text(max_size=2), TypeError),
+    "negative": (st.integers(max_value=-1), ValueError),
+}
+
+
+@st.composite
+def valid_pairs(draw):
+    """Up to four distinct patterns over a 5-symbol alphabet, with counts."""
+    pattern = st.lists(st.integers(0, 4), min_size=1, max_size=4).map(tuple)
+    patterns = draw(st.lists(pattern, min_size=1, max_size=4, unique=True))
+    return [(p, draw(st.integers(0, 3))) for p in patterns]
+
+
+@st.composite
+def faulty_pairs(draw):
+    pairs = draw(valid_pairs())
+    at = draw(st.integers(0, len(pairs) - 1))
+    pattern, count = pairs[at]
+    fault = draw(st.sampled_from(["symbol", "count", "empty", "duplicate", "not a pair"]))
+    if fault == "symbol":
+        symbols = list(pattern)
+        symbols[draw(st.integers(0, len(symbols) - 1))] = draw(BAD_SYMBOLS)
+        pairs[at], error = (symbols, count), ValueError
+    elif fault == "count":
+        values, error = BAD_COUNTS[draw(st.sampled_from(sorted(BAD_COUNTS)))]
+        pairs[at] = (pattern, draw(values))
+    elif fault == "empty":
+        pairs[at], error = (draw(st.sampled_from([(), []])), count), ValueError
+    elif fault == "duplicate":
+        pairs.insert(draw(st.integers(0, len(pairs))), (list(pattern), 0))
+        error = ValueError
+    else:
+        pairs[at], error = draw(st.sampled_from(NOT_PAIRS)), TypeError
+    return pairs, error
+
+
+@settings(max_examples=300)
+@given(faulty_pairs())
+def test_each_bad_spec_raises_its_error(case):
+    pairs, error = case
+    with pytest.raises(error):
+        ProblemInstance(5, 6, pairs)
+
+
+@settings(max_examples=100)
+@given(valid_pairs())
+def test_list_and_tuple_spellings_build_one_instance(pairs):
+    as_tuples = ProblemInstance(5, 6, tuple(pairs))
+    as_lists = ProblemInstance(5, 6, [[list(p), x] for p, x in pairs])
+    assert as_tuples.specs == tuple(pairs)
+    assert as_lists == as_tuples and hash(as_lists) == hash(as_tuples)
+    # a breakdown compares its arguments, so the two spellings give equal breakdowns
+    reference = closed_form.per_tuple_terms
+    assert CountBreakdown(0, reference, (as_lists,)) == CountBreakdown(0, reference, (as_tuples,))
 
 
 class TestCountBreakdown:

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from subwordcount import Pattern
 from subwordcount.overlap import border_profile, can_overlap, is_self_intersecting
 
 
@@ -48,8 +47,10 @@ class TestBorderProfile:
     def test_single_symbol_has_no_proper_border(self):
         assert border_profile((0,)) == frozenset()
 
-    def test_accepts_pattern_objects(self):
-        assert border_profile(Pattern((0, 1, 0))) == frozenset({1})
+    def test_accepts_lists(self):
+        assert border_profile([0, 1, 0]) == frozenset({1})
+        assert is_self_intersecting([0, 1, 0])
+        assert can_overlap([0, 1], (1, 2))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -12,8 +12,6 @@ EXPORTED = [
     "DEFAULT_GUARD",
     "DEFAULT_STEP_BUDGET",
     "NotApplicableError",
-    "Pattern",
-    "PatternSpec",
     "ProblemInstance",
     "ValidationReport",
     "count_multi",
