@@ -28,7 +28,7 @@ import functools
 import json
 import os
 import sys
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .automaton import dp_count
 # count_single is not called here; the timing harness's tracer wraps cli.count_single
@@ -40,6 +40,7 @@ from .core import (
     ProblemInstance,
     ValidationReport,
     decimal_string,
+    require_int,
     validate_instance,
 )
 from .enumeration import DEFAULT_GUARD, enumerate_count
@@ -52,20 +53,6 @@ EXIT_REFUSED = 4
 
 # symbol universe for string patterns when no alphabet is declared
 DEFAULT_SYMBOLS = "abcdefghijklmnopqrstuvwxyz0123456789"
-
-# Every counting method as (instance, guard) -> count.  The lambdas look the
-# functions up when called, so rebinding a name in this module reaches them.
-METHODS: dict[str, Callable[[ProblemInstance, int], int]] = {
-    "closed_form": lambda instance, guard: count_multi(instance).total,
-    "enumeration": lambda instance, guard: enumerate_count(instance, guard),
-    "automaton": lambda instance, guard: dp_count(instance),
-}
-# the METHODS entries each verify --oracle choice runs after the closed form
-_ORACLES = {
-    "enum": ("enumeration",),
-    "automaton": ("automaton",),
-    "both": ("enumeration", "automaton"),
-}
 
 
 class DocumentError(ValueError):
@@ -126,13 +113,17 @@ def _parse_alphabet(alphabet) -> tuple[int, tuple[str, ...] | None]:
         symbols = alphabet["symbols"]
         if not isinstance(symbols, list) or any(not isinstance(s, str) for s in symbols):
             raise DocumentError("alphabet symbols must be a list of strings")
-        return len(symbols), tuple(symbols)
-    if isinstance(alphabet, dict) and "size" in alphabet:
-        size = alphabet["size"]
-        if not isinstance(size, int):
-            raise DocumentError("alphabet size must be an integer")
-        return size, None
-    raise DocumentError('alphabet must be {"size": q} or {"symbols": [...]}')
+        size, symbol_names = len(symbols), tuple(symbols)
+    elif isinstance(alphabet, dict) and "size" in alphabet:
+        size, symbol_names = alphabet["size"], None
+    else:
+        raise DocumentError('alphabet must be {"size": q} or {"symbols": [...]}')
+    # checked before string patterns are tokenized over the first q symbols
+    try:
+        require_int("alphabet_size", size, 2)
+    except (TypeError, ValueError) as exc:
+        raise DocumentError(str(exc)) from exc
+    return size, symbol_names
 
 
 def _symbol_lookup(size: int, symbol_names: tuple[str, ...] | None) -> dict[str, int] | None:
@@ -263,9 +254,11 @@ def _cmd_count(args) -> tuple[dict | None, int]:
 
 def _cmd_verify(args) -> tuple[dict, int]:
     instance = _instance_from_args(args)
-    values = {}
-    for name in ("closed_form", *_ORACLES[args.oracle]):
-        values[name] = METHODS[name](instance, args.guard)
+    values = {"closed_form": count_multi(instance).total}
+    if args.oracle != "automaton":
+        values["enumeration"] = enumerate_count(instance, args.guard)
+    if args.oracle != "enum":
+        values["automaton"] = dp_count(instance)
     agree = len(set(values.values())) == 1
     payload = {
         "values": {name: decimal_string(value) for name, value in values.items()},
@@ -354,7 +347,7 @@ def _build_parser() -> _Parser:
     )
     verify_p.add_argument(
         "--oracle",
-        choices=list(_ORACLES),
+        choices=("enum", "automaton", "both"),
         default="both",
         help="which oracle(s) to run (default: both)",
     )

@@ -5,7 +5,8 @@ package is checked against this module, so it favors being obviously
 correct over being fast.  A depth-first walk extends a prefix a symbol
 at a time and compares the word's last len(p) symbols with each pattern
 p at each new position, so every start position of every word is
-checked against the definition, with no automaton and no pruning.
+checked against the definition, with no automaton and no pruning.  The
+walk keeps its own stack of prefixes, so no word is too long for it.
 
 The guard is a word-count budget, not a time budget, so refusal is
 deterministic and machine independent.
@@ -13,7 +14,6 @@ deterministic and machine independent.
 
 from __future__ import annotations
 
-import sys
 from operator import add
 from typing import Sequence
 
@@ -41,8 +41,8 @@ def enumerate_count(instance: ProblemInstance, guard: int = DEFAULT_GUARD) -> in
 
     Accepts any pattern set, including self-intersecting and overlapping
     ones; this is the semantic ground truth.  Refuses instances with more
-    than ``guard`` words, or words too long for the recursion limit, which
-    signals the caller to use the automaton oracle instead.
+    than ``guard`` words, which signals the caller to use the automaton
+    oracle instead.
     """
     q, t = instance.alphabet_size, instance.word_length
     histogram = occurrence_profile_counts(q, t, instance.patterns, guard)
@@ -74,33 +74,17 @@ def occurrence_profile_counts(
                 f"the guard of {guard}"
             )
         words *= alphabet_size
-    # extend recurses once per symbol on top of the frames already on the
-    # stack.  C calls between those frames count against the recursion limit
-    # too, and the frames do not show them, so keep 50 levels spare.
-    depth, frame = word_length + 50, sys._getframe()
-    while frame is not None:
-        depth, frame = depth + 1, frame.f_back
-    if depth > sys.getrecursionlimit():
-        raise BudgetExceededError(
-            f"enumeration refused: a word length of {word_length} needs more nested "
-            f"calls than the recursion limit of {sys.getrecursionlimit()} allows"
-        )
     # word[start:] is the word's last len(pattern) symbols
     windows = [(pattern, -len(pattern)) for pattern in instance.patterns]
     histogram: dict[tuple[int, ...], int] = {}
-
-    def extend(prefix: tuple[int, ...], counts: tuple[int, ...]) -> None:
-        last = len(prefix) + 1 == word_length
+    stack = [((), (0,) * len(windows))]
+    while stack:
+        prefix, counts = stack.pop()
+        if len(prefix) == word_length:
+            histogram[counts] = histogram.get(counts, 0) + 1
+            continue
         for symbol in range(alphabet_size):
             word = prefix + (symbol,)
             ended = [word[start:] == pattern for pattern, start in windows]
-            counts_here = tuple(map(add, counts, ended)) if True in ended else counts
-            if last:
-                histogram[counts_here] = histogram.get(counts_here, 0) + 1
-            else:
-                extend(word, counts_here)
-
-    if word_length == 0:
-        return {(0,) * len(windows): 1}
-    extend((), (0,) * len(windows))
+            stack.append((word, tuple(map(add, counts, ended)) if True in ended else counts))
     return histogram

@@ -389,6 +389,19 @@ class TestCount:
         assert code == EXIT_INPUT
         assert "error:" in err
 
+    def test_alphabet_below_2_symbols_is_reported_as_such(self, capsys, tmp_path):
+        document = tmp_path / "instance.json"
+        document.write_text(
+            json.dumps(
+                {"alphabet": {"size": 1}, "length": 4, "patterns": [{"pattern": "ab", "count": 1}]}
+            )
+        )
+        for flags in (["--q", "0"], ["--q", "1"], ["--q", "-3"]):
+            code, _, err = run(capsys, "count", *flags, "--t", "4", "--pattern", "ab=1")
+            assert (code, err) == (EXIT_INPUT, "error: alphabet_size must be >= 2\n"), flags
+        code, _, err = run(capsys, "count", "--input", str(document))
+        assert (code, err) == (EXIT_INPUT, "error: alphabet_size must be >= 2\n")
+
     def test_input_that_is_not_utf8_exits_1(self, capsys, tmp_path):
         path = tmp_path / "instance.json"
         path.write_bytes(b'\xff\xfe{"alphabet": {"size": 2}}')
@@ -557,17 +570,6 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["agree"] is False
         assert payload["values"]["automaton"] == "999"
-
-    def test_word_past_the_recursion_limit_exits_4_without_a_traceback(self):
-        # 2**1200 words fit the guard, but the walk would recurse 1,200 deep
-        result = run_fresh(
-            "subwordcount", "verify", "--q", "2", "--t", "1200", "--pattern", "a=1200",
-            "--oracle", "enum", "--guard", str(10**400),
-        )
-        assert result.returncode == EXIT_REFUSED
-        assert "recursion limit" in result.stderr
-        assert len(result.stderr.splitlines()) == 1
-        assert "Traceback" not in result.stderr
 
 
 class TestValidate:
@@ -746,19 +748,21 @@ class TestSharedParser:
         assert code == EXIT_OK
         assert list(json.loads(out)["values"]) == ["closed_form", "automaton"]
 
-        guards, patterns = [], []
-        for name, method in list(cli.METHODS.items()):
-            def spy(instance, guard, method=method):
-                guards.append(guard)
-                patterns.append(instance.patterns)
-                return method(instance, guard)
+        calls = []
+        for name in ("count_multi", "enumerate_count", "dp_count"):
+            def spy(instance, *guard, method=getattr(cli, name), name=name):
+                calls.append((name, guard, len(instance.patterns)))
+                return method(instance, *guard)
 
-            monkeypatch.setitem(cli.METHODS, name, spy)
+            monkeypatch.setattr(cli, name, spy)
         code, out, _ = run(capsys, *second)
         assert code == EXIT_OK  # a guard of 0 left from the first call would refuse
         assert list(json.loads(out)["values"]) == ["closed_form", "enumeration", "automaton"]
-        assert guards == [cli.DEFAULT_GUARD] * 3
-        assert all(len(p) == 1 for p in patterns)
+        assert calls == [
+            ("count_multi", (), 1),
+            ("enumerate_count", (cli.DEFAULT_GUARD,), 1),
+            ("dp_count", (), 1),
+        ]
 
         shared = cli._build_parser()
         shared.parse_args(first)

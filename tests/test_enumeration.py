@@ -118,34 +118,32 @@ class TestEnumerateCount:
         with pytest.raises(BudgetExceededError):
             occurrence_profile_counts(NoPower(36), 10**7, [(0,)])
 
-
-    def test_word_past_the_recursion_limit_is_refused(self):
-        # within the guard, but one nested call per symbol would overflow the stack
-        with pytest.raises(BudgetExceededError, match="recursion limit"):
-            occurrence_profile_counts(2, sys.getrecursionlimit(), [(0,)], guard=10**400)
-
     def test_no_recursion_limit_overflows_the_walk(self):
-        # lowering the limit step by step, the call completes and then is
-        # refused; it may fail before the walk, but the walk never overflows
+        # lowering the limit two at a time until setrecursionlimit itself
+        # refuses, the call completes and then may fail before the walk; it
+        # completes below depth + t, so the walk makes no nested call per symbol
         depth, frame = 0, sys._getframe()
         while frame is not None:
             depth, frame = depth + 1, frame.f_back
-        default, outcomes = sys.getrecursionlimit(), ""
+        t, default, outcomes, lowest = 16, sys.getrecursionlimit(), "", None
         try:
-            for limit in range(depth + 100, depth + 20, -1):
-                sys.setrecursionlimit(limit)
+            for limit in range(depth + 40, 0, -2):
                 try:
-                    histogram = occurrence_profile_counts(2, 8, [(0, 1)])
-                except BudgetExceededError:
-                    outcomes += "R"
+                    sys.setrecursionlimit(limit)
+                except RecursionError:  # the limit is below the current depth
+                    break
+                try:
+                    histogram = occurrence_profile_counts(2, t, [(0, 1)])
                 except RecursionError:
                     outcomes += "E"
                 else:
-                    assert sum(histogram.values()) == 2**8
+                    assert sum(histogram.values()) == 2**t
                     outcomes += "O"
+                    lowest = limit
         finally:
             sys.setrecursionlimit(default)
-        assert re.fullmatch("O+R+E*", outcomes), outcomes
+        assert re.fullmatch("O+E*", outcomes), outcomes
+        assert lowest < depth + t, (lowest, depth)
 
 
 class TestOccurrenceProfileCounts:
