@@ -4,9 +4,10 @@ Out-of-range binomials are 0 rather than errors, though the closed form
 passes only in-range arguments.  Everything returns exact Python ints,
 never floats.
 
-The closed form's layer sum, which counts instances whose patterns share
-one length, calls ``multichoose`` and ``binomial`` once per copy-count
-layer J; its coefficient recurrence, for mixed lengths, calls neither.
+The closed form calls only ``multinomial``, once per count, for the
+prefactor multinomial(x); its layer sum takes its binomials from
+``math.comb`` directly.  ``binomial`` and ``multichoose`` are kept for
+their tests and the timing harness's tracer.
 """
 
 from __future__ import annotations

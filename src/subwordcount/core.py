@@ -222,14 +222,20 @@ def validate_instance(instance: ProblemInstance) -> ValidationReport:
     of the other).  Same-pattern adjacency is governed purely by the
     self-intersection flag, so pairs compare distinct patterns only.
     A pair with no symbol in common cannot share a position and is
-    skipped.  Validation never fails; it reports.
+    skipped.  Each pattern's failure function is computed once: its last
+    value is the longest border, and every pair reads each pattern
+    through the other's (``overlap._reads_into``).  Validation never
+    fails; it reports.
     """
     pats = instance.patterns
-    self_flags = tuple(overlap.is_self_intersecting(p) for p in pats)
+    fails = [overlap._failure_function(p) for p in pats]
     held = [frozenset(p) for p in pats]
     pairs = []
     for i in range(len(pats)):
         for j in range(i + 1, len(pats)):
-            if not held[i].isdisjoint(held[j]) and overlap.can_overlap(pats[i], pats[j]):
+            if not held[i].isdisjoint(held[j]) and (
+                overlap._reads_into(pats[j], fails[j], pats[i])
+                or overlap._reads_into(pats[i], fails[i], pats[j])
+            ):
                 pairs.append((i, j))
-    return ValidationReport(self_flags, tuple(pairs))
+    return ValidationReport(tuple(fail[-1] > 0 for fail in fails), tuple(pairs))

@@ -6,11 +6,14 @@ patterns that can share a word position breaks the occupancy bookkeeping
 the closed-form counts rely on.  The checks here are the gatekeepers for
 formula applicability.
 
-Borders come from one failure-function pass, linear in the pattern
-length.  Two patterns overlap when some relative placement agrees on
-every position they share; ``can_overlap`` finds such a placement with
-two failure-function passes, one over each pattern, a sentinel and the
-other, so it too is linear in the two lengths.
+Everything here runs on one failure function per pattern (the
+Knuth-Morris-Pratt table; Knuth, Morris & Pratt 1977), linear in the
+pattern length.  Borders are the chain of its values.  Two patterns
+overlap when some relative placement agrees on every position they
+share: ``_reads_into`` scans each pattern through the other's failure
+function, as the KMP matcher does, so an overlap check is linear in the
+two lengths.  ``core.validate_instance`` computes each pattern's failure
+function once and reuses it for every pair.
 
 All functions accept any sequence whose elements compare by equality,
 so tests can use strings directly.
@@ -64,22 +67,31 @@ def is_self_intersecting(pattern) -> bool:
     return _failure_function(_symbols(pattern))[-1] > 0
 
 
+def _reads_into(y: Sequence, fail_y: Sequence[int], x: Sequence) -> bool:
+    """True when y occurs in x, or a nonempty suffix of x is a prefix of y.
+
+    Scans x once through y's failure function ``fail_y``: after each
+    symbol, k is the longest suffix read so far that is a prefix of y.
+    """
+    k, n = 0, len(y)
+    for s in x:
+        while k and s != y[k]:
+            k = fail_y[k - 1]
+        if s == y[k]:
+            k += 1
+            if k == n:
+                return True
+    return k > 0
+
+
 def can_overlap(first, second) -> bool:
     """True when occurrences of the two patterns can share a word position.
 
     That is when one pattern contains the other or a proper suffix of
-    either equals a prefix of the other.  For each ordering (x, y) one
-    failure-function pass runs over y, a sentinel equal to no symbol, and
-    x: over the x part each value is the longest suffix read so far that
-    is a prefix of y, so y occurs in x where a value equals len(y), and a
-    suffix of x is a prefix of y when the last value is nonzero.  Symmetric
-    in its arguments.  A pattern overlaps itself.
+    either equals a prefix of the other: each pattern is read into the
+    other through ``_reads_into``.  Symmetric in its arguments.  A pattern
+    overlaps itself.
     """
     a = _symbols(first)
     b = _symbols(second)
-    sentinel = object()
-    for x, y in ((a, b), (b, a)):
-        fail = _failure_function(y + (sentinel,) + x)
-        if fail[-1] or len(y) in fail[len(y) + 1 :]:
-            return True
-    return False
+    return _reads_into(b, _failure_function(b), a) or _reads_into(a, _failure_function(a), b)

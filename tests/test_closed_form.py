@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 
@@ -203,36 +204,68 @@ class TestCollapsedTotal:
         if t <= 30:
             assert total == dp_count(inst)
 
-    def _count_multichoose(self, monkeypatch):
-        calls = []
-        real = closed_form.multichoose
-
-        def counted(n, k):
-            calls.append((n, k))
-            return real(n, k)
-
-        monkeypatch.setattr(closed_form, "multichoose", counted)
-        return calls
-
     def test_mixed_lengths_take_the_recurrence(self, monkeypatch):
-        # lengths 3 and 4 at t = 300: the coefficient recurrence, which
-        # calls no multichoose, and still the per-tuple sum
+        # lengths 3 and 4 at t = 300: the coefficient recurrence, once, and
+        # never the layer sum; the total is still the per-tuple sum
         inst = ProblemInstance.from_pairs(8, 300, [((0, 2, 2), 1), ((1, 2, 2, 2), 2)])
-        calls = self._count_multichoose(monkeypatch)
+        calls = []
+        for name in ("_collapsed_total", "_recurrence_total"):
+            real = getattr(closed_form, name)
+            monkeypatch.setattr(
+                closed_form, name, lambda i, name=name, real=real: calls.append(name) or real(i)
+            )
         total = count_multi(inst).total
-        assert calls == []
+        assert calls == ["_recurrence_total"]
         assert total == sum(value for _, value in closed_form.per_tuple_terms(inst))
 
-    def test_one_length_takes_one_multichoose_per_layer(self, monkeypatch):
-        # three length-3 patterns at t = 300: one term, so one call, per
-        # layer J = 0 to free // 3; past the breakdown's cap, so the
-        # recurrence checks the total
+    @staticmethod
+    def _layer_work(monkeypatch, q, t, pairs):
+        """The instance, and the comb calls and powers of q its layer sum
+        makes: q is an int whose ``**`` records each exponent."""
+        powers, combs = [], []
+
+        class Base(int):
+            def __pow__(self, exponent):
+                powers.append(exponent)
+                return int(self) ** exponent
+
+        def comb(n, k):
+            combs.append((n, k))
+            return math.comb(n, k)
+
+        monkeypatch.setattr(closed_form, "comb", comb)
+        inst = ProblemInstance.from_pairs(Base(q), t, pairs)
+        return inst, powers, combs
+
+    def test_one_length_takes_two_combs_per_layer(self, monkeypatch):
+        # three length-3 patterns at t = 300: per layer J, from free // 3
+        # down to 0, C(X + J + g, g) and C(X + J, X), g = free - 3 J; past
+        # the breakdown's cap, so the recurrence checks the total
         pairs = [((0, 3, 3), 1), ((1, 3, 3), 0), ((2, 3, 3), 2)]
-        inst = ProblemInstance.from_pairs(5, 300, pairs)
-        calls = self._count_multichoose(monkeypatch)
+        inst, powers, combs = self._layer_work(monkeypatch, 5, 300, pairs)
         total = count_multi(inst).total
         free = 300 - 3 * 3
-        assert calls == [(3 + j + 1, free - 3 * j) for j in range(free // 3 + 1)]
+        assert combs == [
+            pair
+            for j in range(free // 3, -1, -1)
+            for pair in ((3 + j + free - 3 * j, free - 3 * j), (3 + j, 3))
+        ]
+        assert powers == [free % 3, 3]
+        assert total == closed_form._recurrence_total(inst)
+
+    def test_one_pattern_work_is_two_powers_and_two_combs_per_copy_count(self, monkeypatch):
+        # the longest benchmark CLI row: q ** g is stepped by q ** 3 from
+        # layer to layer, so the whole sum takes two powers of q, and each
+        # copy count J takes the paper's two binomials
+        inst, powers, combs = self._layer_work(monkeypatch, 36, 3855, [((0, 1, 1), 1)])
+        total = count_multi(inst).total
+        free = 3855 - 3
+        assert powers == [free % 3, 3]
+        assert combs == [
+            pair
+            for j in range(free // 3, -1, -1)
+            for pair in ((1 + j + free - 3 * j, free - 3 * j), (1 + j, 1))
+        ]
         assert total == closed_form._recurrence_total(inst)
 
     @given(
@@ -245,6 +278,12 @@ class TestCollapsedTotal:
     # every symbol a length-1 pattern, so D(z) = 1 and no symbol fills a gap
     @example(2, 1, [1, 2, 0], 0, 3)
     @example(1, 30, [0, 0, 0], 1, 500)
+    @example(2, 5, [1, 1, 0], 1, 13)  # free = 3 < a: one layer
+    @example(1, 4, [2, 0, 0], 1, 8)  # free = 0
+    @example(3, 2, [3, 3, 3], 1, 10)  # free < 0
+    @example(1, 2, [1, 0, 0], 2, 101)  # d = 1: the sign flips every layer
+    @example(2, 3, [0, 0, 0], 1, 50)  # X = 0
+    @example(3, 1, [0, 1, 2], 2, 40)  # a = 1 with filler symbols
     @settings(max_examples=100, deadline=None)
     def test_layer_sum_and_recurrence_agree_on_one_length(self, d, length, required, fillers, t):
         # each pattern is its own head symbol then filler symbols, so all
@@ -255,16 +294,6 @@ class TestCollapsedTotal:
         inst = ProblemInstance.from_pairs(max(2, d + fillers), t, pairs)
         assert validate_instance(inst).is_formula_applicable
         assert closed_form._collapsed_total(inst) == closed_form._recurrence_total(inst)
-
-    def test_one_pattern_work_is_one_multichoose_per_copy_count(self, monkeypatch):
-        # the longest benchmark CLI row: one call per term, J = 0 to free // 3,
-        # each with the arguments the paper's term has, as before layers
-        # stepped their weights
-        inst = ProblemInstance.from_pairs(36, 3855, [((0, 1, 1), 1)])
-        calls = self._count_multichoose(monkeypatch)
-        count_multi(inst).total
-        free = 3855 - 3
-        assert calls == [(1 + j + 1, free - 3 * j) for j in range(free // 3 + 1)]
 
     def test_total_never_walks_copy_count_tuples(self, monkeypatch):
         def walked(*args):

@@ -19,6 +19,7 @@ from subwordcount.automaton import build_automaton
 from subwordcount.core import CountBreakdown
 from subwordcount.enumeration import occurrence_profile_counts
 from subwordcount.overlap import can_overlap
+from test_overlap import naive_border_lengths, shift_witness_overlap
 
 # each validated entry point, built from valid defaults, with its integer fields
 SINGLE_ARGS = {"alphabet_size": 2, "word_length": 4, "pattern_length": 2, "required_count": 1}
@@ -405,6 +406,39 @@ class TestValidateInstance:
             if can_overlap(patterns[i], patterns[j])
         )
         assert validate_instance(inst).cross_overlap_pairs == every_pair
+
+    @given(
+        st.one_of(st.just(2), st.integers(3, 5)).flatmap(
+            lambda q: st.tuples(
+                st.just(q),
+                st.lists(
+                    st.lists(st.integers(0, q - 1), min_size=1, max_size=9).map(tuple),
+                    min_size=1,
+                    max_size=6,
+                    unique=True,
+                ),
+            )
+        )
+    )
+    # over two symbols long borders and long overlaps are common
+    @example((2, [(0, 1, 0, 1, 0, 1), (1, 0, 1, 0), (0, 0, 1), (1, 1, 1, 0, 1, 1)]))
+    @example((3, [(0, 1, 2), (1, 2), (2, 0, 1, 2, 0), (0,)]))
+    @settings(max_examples=200, deadline=None)
+    def test_flags_and_pairs_equal_the_definitions(self, q_patterns):
+        # a border is a prefix equal to a suffix of its length, and two
+        # patterns overlap when some relative placement agrees on every
+        # position they share
+        q, patterns = q_patterns
+        report = validate_instance(ProblemInstance.from_pairs(q, 4, [(p, 1) for p in patterns]))
+        assert report.per_pattern_self_intersection == tuple(
+            bool(naive_border_lengths(p)) for p in patterns
+        )
+        assert report.cross_overlap_pairs == tuple(
+            (i, j)
+            for i in range(len(patterns))
+            for j in range(i + 1, len(patterns))
+            if shift_witness_overlap(patterns[i], patterns[j])
+        )
 
     def test_error_carries_report(self):
         inst = ProblemInstance.from_pairs(2, 6, [((0, 0), 1)])
