@@ -35,19 +35,22 @@ picked by how many distinct pattern lengths the instance has:
   * one length a: the layer sum.  Writing i_p = x_p + j_p, the tuples with
     J = sum j_p share one term, so the count is
     multinomial(x) * sum over J of (-d) ** J * C(X + J, X) * q ** g *
-    C(X + J + g, g), g = free - a J: free // a + 1 terms.  Walked from the
-    top layer down, g grows by a, so each term costs one product by
-    q ** a, one exact division of the sign-and-scale (-d) ** J and two
-    ``math.comb`` calls.
+    C(X + J + g, g), g = free - a J: free // a + 1 terms.  Walked from
+    J = 0 up, g falls by a, so the terms are summed by Horner's rule in
+    q ** a: each layer multiplies the running sum by q ** a and adds its
+    term, two ``math.comb`` calls times the sign-and-scale (-d) ** J,
+    stepped by one product by -d.  No layer multiplies two big numbers;
+    q ** (free mod a) multiplies the sum once at the end.
 
 The layer sum has free / a terms against the recurrence's free steps, so
 it wins on long patterns and loses on short ones.  At q = 4, t = 4000,
-x = 2 (x86_64, CPython 3.11) one length-3 pattern takes 60 ms by the
-layer sum and 5.1 ms by the recurrence, a length-9 one about 5.2 ms by
-either, and a length-200 one 0.04 ms against 4.4 ms.  With mixed lengths
-the layer sum would need every L = sum a_p j_p of a layer, up to
-J (a_max - a_min) + 1 terms, so it is quadratic in t: lengths 3 and 4 at
-q = 4, t = 4000 took 1.9 s that way and take 7 ms by the recurrence.
+x = 2 (x86_64, CPython 3.11) one length-3 pattern takes 54 ms by the
+layer sum and 5.1 ms by the recurrence, lengths 8 and 9 take 5.7 and
+4.4 ms against 5.2 ms, and a length-200 one 0.03 ms against 4.4 ms.  With
+mixed lengths the layer sum would need every L = sum a_p j_p of a layer,
+up to J (a_max - a_min) + 1 terms, so it is quadratic in t: lengths 3
+and 4 at q = 4, t = 4000 took 1.9 s that way and take 7 ms by the
+recurrence.
 Two long, nearly equal lengths are the one mixed shape measured slower:
 (50, 51) took 4.0 ms by the layer sum and take 6.4 ms.  Short one-length
 patterns still take the layer sum, though the recurrence is faster there.
@@ -66,7 +69,6 @@ a borderless stand-in pattern of the requested length.
 from __future__ import annotations
 
 from collections import Counter, deque
-from itertools import islice
 from math import comb, floor, log10
 from typing import Iterator, Sequence
 
@@ -163,8 +165,27 @@ def require_listable(instance: ProblemInstance) -> None:
 
 def _copy_count_tuples(instance: ProblemInstance, cap: int) -> int:
     """How many copy-count tuples a breakdown of ``instance`` lists,
-    counted no further than cap + 1."""
-    return sum(1 for _ in islice(iter_copy_counts(instance.word_length, instance.specs), cap + 1))
+    counted no further than cap + 1, without walking them.
+
+    Writing i_p = x_p + j_p, the tuples are the j >= 0 with
+    sum a_p j_p <= free, and their number is [z ** free] of
+    1 / ((1 - z) prod_p (1 - z ** a_p)): one strided prefix-sum pass per
+    pattern over free + 1 slots, each value capped at cap + 1.  The
+    copies of the shortest pattern alone make free // min(a_p) + 1
+    tuples, so past the cap that answers first and the slots number at
+    most cap * min(a_p).
+    """
+    free = instance.word_length - instance.minimum_occupancy
+    if free < 0:
+        return 0
+    lengths = instance.pattern_lengths
+    if free // min(lengths) >= cap:
+        return cap + 1
+    counts = [1] * (free + 1)  # [z ** n] 1 / (1 - z)
+    for length in lengths:
+        for n in range(length, free + 1):
+            counts[n] = min(counts[n] + counts[n - length], cap + 1)
+    return counts[free]
 
 
 def _decimal_digits(q: int, t: int) -> int:
@@ -180,9 +201,13 @@ def _collapsed_total(instance: ProblemInstance) -> int:
     term (-1) ** J * d ** J * C(X + J, X) * q ** g * C(X + J + g, g),
     g = free - a J, for J from 0 to free // a.
 
-    The layers run from J = free // a down to 0, so g grows by a at each
-    step: q ** g is one product by q ** a and (-d) ** J one exact division
-    by -d, and each layer takes its two binomials from ``math.comb``.
+    The layers run upward from J = 0 to free // a and are summed by
+    Horner's rule in q ** a, since g falls by a from one layer to the
+    next; q ** (free mod a) multiplies the sum once at the end.  Each
+    layer takes two ``math.comb`` calls and multiplies only by small
+    numbers: the running sum by q ** a, the big binomial by the rest of
+    its term, and the sign-and-scale (-d) ** J by -d, which for d = 1
+    leaves it +1 or -1.
     """
     free = instance.word_length - instance.minimum_occupancy
     if free < 0:
@@ -192,20 +217,16 @@ def _collapsed_total(instance: ProblemInstance) -> int:
     required_total = sum(required)
     length = instance.pattern_lengths[0]
     d = len(required)
-    top = free // length
-    power = q ** (free - length * top)  # q ** g, g growing by a as J falls
     step = q**length
-    scale = (-d) ** top  # (-d) ** J
+    scale = 1  # (-d) ** J
     total = 0
-    for extra_copies in range(top, -1, -1):
+    for extra_copies in range(free // length + 1):
         unoccupied = free - length * extra_copies
         placed = required_total + extra_copies
-        weight = power * comb(placed + unoccupied, unoccupied)
-        total += weight * (scale * comb(placed, required_total))
-        if extra_copies:
-            power *= step
-            scale //= -d
-    return multinomial(required) * total
+        layer = comb(placed + unoccupied, unoccupied) * (scale * comb(placed, required_total))
+        total = total * step + layer
+        scale *= -d
+    return multinomial(required) * q ** (free % length) * total
 
 
 def _recurrence_total(instance: ProblemInstance) -> int:

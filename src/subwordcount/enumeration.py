@@ -22,19 +22,6 @@ from .core import BudgetExceededError, ProblemInstance
 DEFAULT_GUARD = 10**8
 
 
-def count_occurrences(word: Sequence, pattern: Sequence) -> int:
-    """Occurrences of ``pattern`` in ``word`` at every start position,
-    overlapping occurrences included."""
-    target = tuple(pattern)
-    if not target:
-        raise ValueError("pattern must be nonempty")
-    text = tuple(word)
-    window = len(target)
-    return sum(
-        1 for start in range(len(text) - window + 1) if text[start : start + window] == target
-    )
-
-
 def enumerate_count(instance: ProblemInstance, guard: int = DEFAULT_GUARD) -> int:
     """Exact number of words whose occurrence counts all match, read from
     the occurrence-profile histogram of every word of the instance's length.

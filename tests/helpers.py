@@ -1,6 +1,7 @@
-"""Shared generators for the test suite."""
+"""Shared generators and reference helpers for the test suite."""
 
 import itertools
+from typing import Sequence
 
 from subwordcount.overlap import can_overlap, is_self_intersecting
 
@@ -24,3 +25,16 @@ def independent_pattern_pairs(alphabet_size: int, max_length: int):
     for a, b in itertools.combinations(pool, 2):
         if not can_overlap(a, b):
             yield a, b
+
+
+def count_occurrences(word: Sequence, pattern: Sequence) -> int:
+    """Occurrences of ``pattern`` in ``word`` at every start position,
+    overlapping occurrences included."""
+    target = tuple(pattern)
+    if not target:
+        raise ValueError("pattern must be nonempty")
+    text = tuple(word)
+    window = len(target)
+    return sum(
+        1 for start in range(len(text) - window + 1) if text[start : start + window] == target
+    )

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import subwordcount.automaton as automaton_module
+from helpers import count_occurrences
 from subwordcount import (
     BudgetExceededError,
     ProblemInstance,
@@ -23,7 +24,7 @@ from subwordcount.automaton import (
     count_matches,
     tally_graph,
 )
-from subwordcount.enumeration import count_occurrences, occurrence_profile_counts
+from subwordcount.enumeration import occurrence_profile_counts
 
 
 def walk(automaton, word, start=0):

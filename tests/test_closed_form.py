@@ -238,32 +238,33 @@ class TestCollapsedTotal:
         return inst, powers, combs
 
     def test_one_length_takes_two_combs_per_layer(self, monkeypatch):
-        # three length-3 patterns at t = 300: per layer J, from free // 3
-        # down to 0, C(X + J + g, g) and C(X + J, X), g = free - 3 J; past
-        # the breakdown's cap, so the recurrence checks the total
+        # three length-3 patterns at t = 300: per layer J, from 0 up to
+        # free // 3, C(X + J + g, g) and C(X + J, X), g = free - 3 J; Horner's
+        # rule in q ** 3 takes that power first and q ** (free % 3) last.
+        # Past the breakdown's cap, so the recurrence checks the total
         pairs = [((0, 3, 3), 1), ((1, 3, 3), 0), ((2, 3, 3), 2)]
         inst, powers, combs = self._layer_work(monkeypatch, 5, 300, pairs)
         total = count_multi(inst).total
         free = 300 - 3 * 3
         assert combs == [
             pair
-            for j in range(free // 3, -1, -1)
+            for j in range(free // 3 + 1)
             for pair in ((3 + j + free - 3 * j, free - 3 * j), (3 + j, 3))
         ]
-        assert powers == [free % 3, 3]
+        assert powers == [3, free % 3]
         assert total == closed_form._recurrence_total(inst)
 
     def test_one_pattern_work_is_two_powers_and_two_combs_per_copy_count(self, monkeypatch):
-        # the longest benchmark CLI row: q ** g is stepped by q ** 3 from
-        # layer to layer, so the whole sum takes two powers of q, and each
-        # copy count J takes the paper's two binomials
+        # the longest benchmark CLI row: the sum is Horner's rule in q ** 3,
+        # so the whole sum takes two powers of q, and each copy count J, in
+        # increasing order, takes the paper's two binomials
         inst, powers, combs = self._layer_work(monkeypatch, 36, 3855, [((0, 1, 1), 1)])
         total = count_multi(inst).total
         free = 3855 - 3
-        assert powers == [free % 3, 3]
+        assert powers == [3, free % 3]
         assert combs == [
             pair
-            for j in range(free // 3, -1, -1)
+            for j in range(free // 3 + 1)
             for pair in ((1 + j + free - 3 * j, free - 3 * j), (1 + j, 1))
         ]
         assert total == closed_form._recurrence_total(inst)
@@ -284,6 +285,9 @@ class TestCollapsedTotal:
     @example(1, 2, [1, 0, 0], 2, 101)  # d = 1: the sign flips every layer
     @example(2, 3, [0, 0, 0], 1, 50)  # X = 0
     @example(3, 1, [0, 1, 2], 2, 40)  # a = 1 with filler symbols
+    # d = 2 and d = 3 over 130 to 150 layers: the scale steps by -d each layer
+    @example(2, 3, [1, 2, 0], 1, 400)
+    @example(3, 2, [0, 1, 1], 2, 300)
     @settings(max_examples=100, deadline=None)
     def test_layer_sum_and_recurrence_agree_on_one_length(self, d, length, required, fillers, t):
         # each pattern is its own head symbol then filler symbols, so all
@@ -422,6 +426,25 @@ class TestIterCopyCounts:
     def test_no_specs_rejected(self):
         with pytest.raises(ValueError):
             list(iter_copy_counts(5, ()))
+
+    @given(
+        st.lists(st.tuples(st.integers(1, 5), st.integers(0, 3)), min_size=1, max_size=4),
+        st.integers(0, 60),
+        st.sampled_from([0, 5, 100, 10**9]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_tuple_count_equals_the_walk_without_walking(self, lengths_counts, t, cap):
+        # patterns on disjoint symbols; the tuples depend only on lengths and counts
+        pairs, used = [], 0
+        for length, x in lengths_counts:
+            pairs.append((tuple(range(used, used + length)), x))
+            used += length
+        instance = ProblemInstance.from_pairs(max(used, 2), t, pairs)
+        listed = sum(1 for _ in iter_copy_counts(t, instance.specs))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(closed_form, "iter_copy_counts", None)
+            counted = closed_form._copy_count_tuples(instance, cap)
+        assert counted == min(listed, cap + 1)
 
 
 def test_borderless_pattern_helper_is_sound():

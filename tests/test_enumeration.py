@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import count_occurrences
 from subwordcount import BudgetExceededError, ProblemInstance, enumerate_count
-from subwordcount.enumeration import count_occurrences, occurrence_profile_counts
+from subwordcount.enumeration import occurrence_profile_counts
 from subwordcount.overlap import can_overlap, is_self_intersecting
 
 

@@ -33,7 +33,7 @@ INTERNAL = {
         "tally_graph",
     ],
     "combinatorics": ["binomial", "multichoose", "multinomial"],
-    "enumeration": ["count_occurrences", "occurrence_profile_counts"],
+    "enumeration": ["occurrence_profile_counts"],
     "overlap": ["border_profile", "can_overlap", "is_self_intersecting"],
 }
 
