@@ -28,7 +28,8 @@ free = t - sum a_p x_p.  ``count_multi`` evaluates it one of two ways,
 picked by how many distinct pattern lengths the instance has:
 
   * mixed lengths: the coefficient recurrence.  F = D ** -(X + 1) has
-    D F' = -(X + 1) D' F, so n F_n = -sum_k D_k (n + X k) F_(n - k), with
+    D F' = -(X + 1) D' F, so with P_k the number of patterns of length k,
+    n F_n = q (n + X) F_(n - 1) - sum_k P_k (n + X k) F_(n - k), with
     every division exact.  That is free * (distinct lengths + 1)
     big-by-small products, whatever d is, over a window of the last
     max(a_p) coefficients.
@@ -44,15 +45,15 @@ picked by how many distinct pattern lengths the instance has:
 
 The layer sum has free / a terms against the recurrence's free steps, so
 it wins on long patterns and loses on short ones.  At q = 4, t = 4000,
-x = 2 (x86_64, CPython 3.11) one length-3 pattern takes 54 ms by the
-layer sum and 5.1 ms by the recurrence, lengths 8 and 9 take 5.7 and
-4.4 ms against 5.2 ms, and a length-200 one 0.03 ms against 4.4 ms.  With
-mixed lengths the layer sum would need every L = sum a_p j_p of a layer,
-up to J (a_max - a_min) + 1 terms, so it is quadratic in t: lengths 3
-and 4 at q = 4, t = 4000 took 1.9 s that way and take 7 ms by the
-recurrence.
+x = 2 (x86_64, CPython 3.11, best of 5) one length-3 pattern takes 54 ms
+by the layer sum and 4.5 ms by the recurrence, lengths 8 and 9 take 5.6
+and 4.3 ms against 4.6 ms, and a length-200 one 0.03 ms against 3.8 ms.
+With mixed lengths the layer sum would need every L = sum a_p j_p of a
+layer, up to J (a_max - a_min) + 1 terms, so it is quadratic in t:
+lengths 3 and 4 at q = 4, t = 4000 took 1.9 s that way and take 5.6 ms
+by the recurrence.
 Two long, nearly equal lengths are the one mixed shape measured slower:
-(50, 51) took 4.0 ms by the layer sum and take 6.4 ms.  Short one-length
+(50, 51) took 4.0 ms by the layer sum and take 5.3 ms.  Short one-length
 patterns still take the layer sum, though the recurrence is faster there.
 ``per_tuple_terms`` evaluates the summation tuple by tuple; it is the
 reference, run only when a breakdown's ``terms`` are read, and that read
@@ -68,7 +69,7 @@ a borderless stand-in pattern of the requested length.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from math import comb, floor, log10
 from typing import Iterator, Sequence
 
@@ -231,28 +232,34 @@ def _collapsed_total(instance: ProblemInstance) -> int:
 
 def _recurrence_total(instance: ProblemInstance) -> int:
     """multinomial(x) * [z ** free] D(z) ** -(X + 1), D = 1 - q z + P(z),
-    by the coefficient recurrence the module docstring derives.
+    by the coefficient recurrence the module docstring derives:
+    n F_n = q (n + X) F_(n - 1) - sum_k P_k (n + X k) F_(n - k), P_k the
+    number of patterns of length k.
 
     Keeps a window of the last max(a_p) coefficients, not all of them, and
-    makes free * (distinct lengths + 1) big-by-small products; every
+    makes free * (distinct lengths + 1) big-by-small products: the
+    alphabet's term once per step, then one per distinct length.  Every
     division is exact.
     """
     free = instance.word_length - instance.minimum_occupancy
     if free < 0:
         return 0
+    q = instance.alphabet_size
     lengths = instance.pattern_lengths
     required_total = sum(instance.required_counts)
-    denominator = Counter(lengths)  # D_k for k >= 1
-    denominator[1] -= instance.alphabet_size
-    steps = list(denominator.items())
+    patterns_of_length: dict[int, int] = {}  # P_k
+    for k in lengths:
+        patterns_of_length[k] = patterns_of_length.get(k, 0) + 1
+    # P_k (n + X k) F_(n - k) is (P_k n + P_k X k) * window[-k]
+    steps = [(-k, p_k, p_k * required_total * k) for k, p_k in patterns_of_length.items()]
     width = max(lengths)
     # F_{n - width} .. F_{n - 1}, coefficients below z ** 0 being 0
     window = deque([0] * (width - 1) + [1], maxlen=width)
     for n in range(1, free + 1):
-        weighted = 0
-        for k, d_k in steps:
-            weighted += d_k * (n + required_total * k) * window[-k]
-        window.append(-weighted // n)
+        weighted = q * (n + required_total) * window[-1]
+        for back, p_k, p_k_x_k in steps:
+            weighted -= (p_k * n + p_k_x_k) * window[back]
+        window.append(weighted // n)
     return multinomial(instance.required_counts) * window[-1]
 
 

@@ -221,21 +221,21 @@ def validate_instance(instance: ProblemInstance) -> ValidationReport:
     contains the other, or a nonempty proper suffix of one equals a prefix
     of the other).  Same-pattern adjacency is governed purely by the
     self-intersection flag, so pairs compare distinct patterns only.
-    A pair with no symbol in common cannot share a position and is
-    skipped.  Each pattern's failure function is computed once: its last
-    value is the longest border, and every pair reads each pattern
-    through the other's (``overlap._reads_into``).  Validation never
-    fails; it reports.
+    Each pattern's failure function is computed once: its last value is
+    the longest border, and every pair reads each pattern y through the
+    other, x (``overlap._reads_into``).  y occurs in x, or starts on a
+    suffix of x, only if its first symbol occurs in x, so a read whose
+    first symbol is absent is skipped.  Validation never fails; it
+    reports.
     """
     pats = instance.patterns
     fails = [overlap._failure_function(p) for p in pats]
-    held = [frozenset(p) for p in pats]
     pairs = []
-    for i in range(len(pats)):
+    for i, x in enumerate(pats):
         for j in range(i + 1, len(pats)):
-            if not held[i].isdisjoint(held[j]) and (
-                overlap._reads_into(pats[j], fails[j], pats[i])
-                or overlap._reads_into(pats[i], fails[i], pats[j])
+            y = pats[j]
+            if (y[0] in x and overlap._reads_into(y, fails[j], x)) or (
+                x[0] in y and overlap._reads_into(x, fails[i], y)
             ):
                 pairs.append((i, j))
     return ValidationReport(tuple(fail[-1] > 0 for fail in fails), tuple(pairs))

@@ -374,7 +374,7 @@ class TestValidateInstance:
             ValidationReport((True,), (), True)  # no stored flag to contradict them
 
     def test_many_patterns_on_distinct_symbols_validate_quickly(self):
-        # 719,400 pairs, none sharing a symbol, so none runs can_overlap
+        # 719,400 pairs, none sharing a symbol, so no pair reads one pattern into the other
         inst = ProblemInstance.from_pairs(1200, 1, [((s,), 0) for s in range(1200)])
         start = time.perf_counter()
         report = validate_instance(inst)
@@ -423,6 +423,12 @@ class TestValidateInstance:
     # over two symbols long borders and long overlaps are common
     @example((2, [(0, 1, 0, 1, 0, 1), (1, 0, 1, 0), (0, 0, 1), (1, 1, 1, 0, 1, 1)]))
     @example((3, [(0, 1, 2), (1, 2), (2, 0, 1, 2, 0), (0,)]))
+    # shared symbols, but neither first symbol occurs in the other pattern
+    @example((4, [(0, 1, 2), (3, 2, 1)]))
+    # the second pattern occurs inside the first
+    @example((4, [(0, 1, 2, 3), (1, 2)]))
+    # the second pattern's first symbol is only the first pattern's last
+    @example((4, [(0, 1, 2), (2, 3)]))
     @settings(max_examples=200, deadline=None)
     def test_flags_and_pairs_equal_the_definitions(self, q_patterns):
         # a border is a prefix equal to a suffix of its length, and two
