@@ -24,8 +24,11 @@ with one-copy clusters; Goulden & Jackson 1979, Noonan & Zeilberger 1999):
   D(z) = 1 - q z + P(z),  P(z) = sum_p z ** a_p,
 
 with x_p the required counts, X = sum x_p, a_p the pattern lengths and
-free = t - sum a_p x_p.  ``count_multi`` evaluates it one of two ways,
-picked by how many distinct pattern lengths the instance has:
+free = t - sum a_p x_p.  ``count_multi`` reads the instance, answers 0
+when free < 0 and multiplies by multinomial(x), once each.  In between it
+evaluates the bare coefficient [z ** free] D(z) ** -(X + 1) one of two
+ways, picked by how many distinct pattern lengths the instance has; each
+evaluator takes numbers, not an instance:
 
   * mixed lengths: the coefficient recurrence.  F = D ** -(X + 1) has
     D F' = -(X + 1) D' F, so with P_k the number of patterns of length k,
@@ -64,7 +67,8 @@ The arithmetic sees pattern lengths only.  Whether it is the *right*
 arithmetic for an instance depends on the patterns having no borders and
 no cross overlaps; ``count_multi`` checks that through
 ``require_applicable``.  ``count_single`` is its one-pattern case, run on
-a borderless stand-in pattern of the requested length.
+a borderless stand-in pattern of the requested length, or of one symbol
+past the word when that is shorter.
 """
 
 from __future__ import annotations
@@ -99,13 +103,15 @@ def count_single(
     ``required_count`` times.
 
     The one-pattern case of ``count_multi``: the sum sees pattern lengths
-    only, so any borderless pattern of the given length stands in.  The
-    breakdown carries one signed term per copy count from
-    ``required_count`` up to ``word_length // pattern_length``; an empty
-    range yields total 0.
+    only, so any borderless pattern of the given length stands in.  One
+    longer than the word occurs 0 times whatever its length, so the
+    stand-in stops one symbol past the word.  The breakdown carries one
+    signed term per copy count from ``required_count`` up to
+    ``word_length // pattern_length``; an empty range yields total 0.
     """
     require_int("pattern_length", pattern_length, 1)
-    pattern = (0,) + (1,) * (pattern_length - 1)
+    require_int("word_length", word_length, 0)
+    pattern = (0,) + (1,) * (min(pattern_length, word_length + 1) - 1)
     return count_multi(
         ProblemInstance.from_pairs(alphabet_size, word_length, [(pattern, required_count)])
     )
@@ -120,7 +126,9 @@ def count_multi(instance: ProblemInstance) -> CountBreakdown:
     required copies cannot all fit, yields total 0 with no terms.
 
     The total is multinomial(x) * [z ** free] (1 - q z + P(z)) ** -(X + 1),
-    the module docstring's identity.  An instance with more than one
+    the module docstring's identity.  This function answers the infeasible
+    zero and applies multinomial(x); an evaluator, run only when free >= 0,
+    returns the bare coefficient.  An instance with more than one
     distinct pattern length takes the O(free) coefficient recurrence; one
     whose patterns share one length a takes the layer sum of free // a + 1
     terms, faster from about a = 9 on and slower below (the module
@@ -129,9 +137,18 @@ def count_multi(instance: ProblemInstance) -> CountBreakdown:
     total.
     """
     require_applicable(instance)
-    one_length = len(set(instance.pattern_lengths)) == 1
-    total = _collapsed_total(instance) if one_length else _recurrence_total(instance)
-    return CountBreakdown(total, per_tuple_terms, (instance,))
+    free = instance.word_length - instance.minimum_occupancy
+    if free < 0:
+        return CountBreakdown(0, per_tuple_terms, (instance,))
+    q = instance.alphabet_size
+    lengths = instance.pattern_lengths
+    required = instance.required_counts
+    required_total = sum(required)
+    if len(set(lengths)) == 1:
+        coefficient = _layer_sum(q, free, lengths[0], len(lengths), required_total)
+    else:
+        coefficient = _recurrence(q, free, lengths, required_total)
+    return CountBreakdown(multinomial(required) * coefficient, per_tuple_terms, (instance,))
 
 
 def require_applicable(instance: ProblemInstance) -> None:
@@ -194,9 +211,10 @@ def _decimal_digits(q: int, t: int) -> int:
     return floor(t * log10(q)) + 1
 
 
-def _collapsed_total(instance: ProblemInstance) -> int:
-    """The summation over copy-count tuples of an instance whose patterns
-    all have one length a, one layer J at a time.
+def _layer_sum(q: int, free: int, length: int, d: int, required_total: int) -> int:
+    """[z ** free] D(z) ** -(X + 1) for d patterns that all have one length
+    a = ``length``, one layer J at a time; X is ``required_total`` and
+    free >= 0.
 
     With d patterns, [y ** (a J)] P(y) ** J = d ** J, so layer J is the one
     term (-1) ** J * d ** J * C(X + J, X) * q ** g * C(X + J + g, g),
@@ -210,14 +228,6 @@ def _collapsed_total(instance: ProblemInstance) -> int:
     its term, and the sign-and-scale (-d) ** J by -d, which for d = 1
     leaves it +1 or -1.
     """
-    free = instance.word_length - instance.minimum_occupancy
-    if free < 0:
-        return 0
-    q = instance.alphabet_size
-    required = instance.required_counts
-    required_total = sum(required)
-    length = instance.pattern_lengths[0]
-    d = len(required)
     step = q**length
     scale = 1  # (-d) ** J
     total = 0
@@ -227,12 +237,13 @@ def _collapsed_total(instance: ProblemInstance) -> int:
         layer = comb(placed + unoccupied, unoccupied) * (scale * comb(placed, required_total))
         total = total * step + layer
         scale *= -d
-    return multinomial(required) * q ** (free % length) * total
+    return q ** (free % length) * total
 
 
-def _recurrence_total(instance: ProblemInstance) -> int:
-    """multinomial(x) * [z ** free] D(z) ** -(X + 1), D = 1 - q z + P(z),
-    by the coefficient recurrence the module docstring derives:
+def _recurrence(q: int, free: int, lengths: Sequence[int], required_total: int) -> int:
+    """[z ** free] D(z) ** -(X + 1), D = 1 - q z + P(z), X the
+    ``required_total`` and free >= 0, by the coefficient recurrence the
+    module docstring derives:
     n F_n = q (n + X) F_(n - 1) - sum_k P_k (n + X k) F_(n - k), P_k the
     number of patterns of length k.
 
@@ -241,12 +252,6 @@ def _recurrence_total(instance: ProblemInstance) -> int:
     alphabet's term once per step, then one per distinct length.  Every
     division is exact.
     """
-    free = instance.word_length - instance.minimum_occupancy
-    if free < 0:
-        return 0
-    q = instance.alphabet_size
-    lengths = instance.pattern_lengths
-    required_total = sum(instance.required_counts)
     patterns_of_length: dict[int, int] = {}  # P_k
     for k in lengths:
         patterns_of_length[k] = patterns_of_length.get(k, 0) + 1
@@ -260,7 +265,7 @@ def _recurrence_total(instance: ProblemInstance) -> int:
         for back, p_k, p_k_x_k in steps:
             weighted -= (p_k * n + p_k_x_k) * window[back]
         window.append(weighted // n)
-    return multinomial(instance.required_counts) * window[-1]
+    return window[-1]
 
 
 def per_tuple_terms(instance: ProblemInstance) -> Iterator[tuple[tuple[int, ...], int]]:

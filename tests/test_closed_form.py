@@ -19,6 +19,7 @@ from subwordcount import (
     validate_instance,
 )
 from subwordcount.closed_form import iter_copy_counts
+from subwordcount.combinatorics import multinomial
 
 
 class TestCountSingle:
@@ -35,6 +36,20 @@ class TestCountSingle:
     def test_zero_length_word(self):
         assert count_single(4, 0, 3, 0).total == 1
         assert count_single(4, 0, 3, 1).total == 0
+
+    def test_pattern_longer_than_the_word_stays_small(self):
+        # it occurs 0 times whatever its length, so the stand-in stops one
+        # symbol past the word; built at full length it would hold 10**7
+        # symbols and their failure function, hundreds of MB
+        tracemalloc.start()
+        try:
+            breakdown = count_single(2, 5, 10**7, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert breakdown.total == 32
+        assert breakdown.terms == count_single(2, 5, 6, 0).terms == (((0,), 32),)
 
     def test_term_indices_and_signs(self):
         breakdown = count_single(2, 6, 2, 1)
@@ -95,6 +110,22 @@ class TestCountMulti:
         inst = ProblemInstance.from_pairs(3, 4, [((0, 1), 1), ((2, 1), 4)])
         assert count_multi(inst).total == 0
         assert count_multi(inst).terms == ()
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            # one length, free = 10 - 18, and lengths 2 and 5, free = 6 - 7
+            ProblemInstance.from_pairs(4, 10, [((0, 3), 3), ((1, 3), 3), ((2, 3), 3)]),
+            ProblemInstance.from_pairs(3, 6, [((0, 2), 1), ((1, 2, 2, 2, 2), 1)]),
+        ],
+    )
+    def test_infeasible_instance_reaches_no_evaluator(self, monkeypatch, inst):
+        def evaluated(*args):
+            raise AssertionError("evaluator called")
+
+        monkeypatch.setattr(closed_form, "_layer_sum", evaluated)
+        monkeypatch.setattr(closed_form, "_recurrence", evaluated)
+        assert count_multi(inst).total == 0
 
     def test_term_indices_are_full_tuples(self):
         inst = ProblemInstance.from_pairs(4, 8, [((0, 1), 1), ((2, 3), 1)])
@@ -209,13 +240,13 @@ class TestCollapsedTotal:
         # never the layer sum; the total is still the per-tuple sum
         inst = ProblemInstance.from_pairs(8, 300, [((0, 2, 2), 1), ((1, 2, 2, 2), 2)])
         calls = []
-        for name in ("_collapsed_total", "_recurrence_total"):
+        for name in ("_layer_sum", "_recurrence"):
             real = getattr(closed_form, name)
             monkeypatch.setattr(
-                closed_form, name, lambda i, name=name, real=real: calls.append(name) or real(i)
+                closed_form, name, lambda *a, name=name, real=real: calls.append(name) or real(*a)
             )
         total = count_multi(inst).total
-        assert calls == ["_recurrence_total"]
+        assert calls == ["_recurrence"]
         assert total == sum(value for _, value in closed_form.per_tuple_terms(inst))
 
     @staticmethod
@@ -252,7 +283,7 @@ class TestCollapsedTotal:
             for pair in ((3 + j + free - 3 * j, free - 3 * j), (3 + j, 3))
         ]
         assert powers == [3, free % 3]
-        assert total == closed_form._recurrence_total(inst)
+        assert total == multinomial((1, 0, 2)) * closed_form._recurrence(5, free, (3, 3, 3), 3)
 
     def test_one_pattern_work_is_two_powers_and_two_combs_per_copy_count(self, monkeypatch):
         # the longest benchmark CLI row: the sum is Horner's rule in q ** 3,
@@ -267,7 +298,7 @@ class TestCollapsedTotal:
             for j in range(free // 3 + 1)
             for pair in ((1 + j + free - 3 * j, free - 3 * j), (1 + j, 1))
         ]
-        assert total == closed_form._recurrence_total(inst)
+        assert total == multinomial((1,)) * closed_form._recurrence(36, free, (3,), 1)
 
     @given(
         st.integers(1, 3),
@@ -281,7 +312,6 @@ class TestCollapsedTotal:
     @example(1, 30, [0, 0, 0], 1, 500)
     @example(2, 5, [1, 1, 0], 1, 13)  # free = 3 < a: one layer
     @example(1, 4, [2, 0, 0], 1, 8)  # free = 0
-    @example(3, 2, [3, 3, 3], 1, 10)  # free < 0
     @example(1, 2, [1, 0, 0], 2, 101)  # d = 1: the sign flips every layer
     @example(2, 3, [0, 0, 0], 1, 50)  # X = 0
     @example(3, 1, [0, 1, 2], 2, 40)  # a = 1 with filler symbols
@@ -292,12 +322,18 @@ class TestCollapsedTotal:
     def test_layer_sum_and_recurrence_agree_on_one_length(self, d, length, required, fillers, t):
         # each pattern is its own head symbol then filler symbols, so all
         # are borderless and no two overlap; t reaches past what the
-        # per-tuple sum lists quickly, so each evaluator checks the other
+        # per-tuple sum lists quickly, so each evaluator checks the other;
+        # count_multi answers free < 0 before either runs
         assume(fillers or length == 1)
+        free = t - length * sum(required)
+        assume(free >= 0)
         pairs = [((head,) + (d,) * (length - 1), required[head]) for head in range(d)]
         inst = ProblemInstance.from_pairs(max(2, d + fillers), t, pairs)
         assert validate_instance(inst).is_formula_applicable
-        assert closed_form._collapsed_total(inst) == closed_form._recurrence_total(inst)
+        q, x = inst.alphabet_size, sum(required)
+        assert closed_form._layer_sum(q, free, length, d, x) == closed_form._recurrence(
+            q, free, inst.pattern_lengths, x
+        )
 
     def test_total_never_walks_copy_count_tuples(self, monkeypatch):
         def walked(*args):
