@@ -15,12 +15,12 @@ from subwordcount import (
     enumerate_count,
     validate_instance,
 )
-from subwordcount.overlap import border_profile, can_overlap
+from subwordcount.overlap import can_overlap, is_self_intersecting
 
 # A border is a proper prefix that is also a suffix.  ABAB has one of
 # length 2, so two copies can overlap: ABABAB holds it at positions 0 and 2.
 for word in ("abab", "aaaa", "abc", "abacaba"):
-    print(f"border lengths of {word!r}: {sorted(border_profile(word)) or 'none'}")
+    print(f"does {word!r} have a border? {is_self_intersecting(word)}")
 print()
 
 # Cross-overlap: a suffix of one pattern is a prefix of the other, or one

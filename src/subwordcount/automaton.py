@@ -51,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .core import BudgetExceededError, ProblemInstance, require_int
+from .core import BudgetExceededError, ProblemInstance
 
 DEFAULT_STEP_BUDGET = 10**9
 
@@ -91,16 +91,12 @@ class MatchAutomaton:
 def build_automaton(alphabet_size: int, patterns: Sequence) -> MatchAutomaton:
     """Build the matching automaton for a pattern collection.
 
-    Patterns are any symbol sequences, such as ``ProblemInstance.patterns``;
-    they must be nonempty and use symbols below alphabet_size.
+    Patterns are any symbol sequences, nonempty and with symbols below
+    alphabet_size.  Nothing here checks that: the caller, ``dp_count``,
+    passes the fields of a ``ProblemInstance``, which checked them when it
+    was built.
     """
-    require_int("alphabet_size", alphabet_size, 1)
     targets = [tuple(p) for p in patterns]
-    for target in targets:
-        if not target:
-            raise ValueError("patterns must be nonempty")
-        if any(not (0 <= s < alphabet_size) for s in target):
-            raise ValueError(f"pattern {target!r} uses symbols outside the alphabet")
 
     # Trie over the patterns, read one depth at a time, so a prefix's
     # state number is below those of all longer prefixes.
@@ -223,14 +219,11 @@ def tally_graph(automaton: MatchAutomaton, required: Sequence[int], word_length:
     times the alphabet size on long patterns.  Each pattern's keep mask repeats a
     block of bytes, so it costs time linear in its size, and a move's mask
     is the AND of the masks of the patterns it emits.  ``required`` holds
-    one count per pattern of the automaton.
+    one nonnegative int per pattern of the automaton, and ``word_length``
+    is a nonnegative int.  Nothing here checks that: the caller,
+    ``dp_count``, passes the fields of a ``ProblemInstance``, which checked
+    them when it was built.
     """
-    required = tuple(required)
-    if len(required) != automaton.pattern_count:
-        raise ValueError("required must hold one count per pattern")
-    for x in required:
-        require_int("required count", x, 0)
-    require_int("word_length", word_length, 0)
     # no slot, and no slot times a symbol count before the last step,
     # exceeds q ** word_length, so whole bytes holding it never carry
     slot_bytes = ((automaton.alphabet_size**word_length).bit_length() + 7) // 8

@@ -8,7 +8,9 @@ formula applicability.
 
 Everything here runs on one failure function per pattern (the
 Knuth-Morris-Pratt table; Knuth, Morris & Pratt 1977), linear in the
-pattern length.  Borders are the chain of its values.  Two patterns
+pattern length.  Its last value is the pattern's longest border, and a
+pattern is self-intersecting when that is nonzero; that value is all
+``core.validate_instance`` reads of a pattern's own borders.  Two patterns
 overlap when some relative placement agrees on every position they
 share: ``_reads_into`` scans each pattern through the other's failure
 function, as the KMP matcher does, so an overlap check is linear in the
@@ -42,23 +44,6 @@ def _failure_function(seq: Sequence) -> list[int]:
             k += 1
         fail[i] = k
     return fail
-
-
-def border_profile(pattern) -> frozenset[int]:
-    """Every k with 0 < k < len(pattern) such that the length-k prefix
-    equals the length-k suffix.
-
-    One failure-function pass; the border lengths are the chain of failure
-    values starting from the whole pattern.
-    """
-    seq = _symbols(pattern)
-    fail = _failure_function(seq)
-    lengths = set()
-    k = fail[-1]
-    while k > 0:
-        lengths.add(k)
-        k = fail[k - 1]
-    return frozenset(lengths)
 
 
 def is_self_intersecting(pattern) -> bool:

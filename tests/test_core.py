@@ -15,7 +15,6 @@ from subwordcount import (
     validate_instance,
 )
 from subwordcount import closed_form
-from subwordcount.automaton import build_automaton
 from subwordcount.core import CountBreakdown
 from subwordcount.enumeration import occurrence_profile_counts
 from subwordcount.overlap import can_overlap
@@ -35,17 +34,14 @@ INTEGER_FIELDS = {
         ("required_count",),
     ),
     "count_single": (lambda **kw: count_single(**{**SINGLE_ARGS, **kw}), tuple(SINGLE_ARGS)),
-    # the oracle entry points that take raw ints; a one-symbol pattern so
-    # that True, read as 1, would otherwise pass as a valid size
+    # enumeration's histogram takes raw ints and checks them by building a
+    # ProblemInstance; a one-symbol pattern so that True, read as 1, would
+    # otherwise pass as a valid size
     "occurrence_profile_counts": (
         lambda alphabet_size=2, word_length=3: occurrence_profile_counts(
             alphabet_size, word_length, [(0,)]
         ),
         ("alphabet_size", "word_length"),
-    ),
-    "build_automaton": (
-        lambda alphabet_size=2: build_automaton(alphabet_size, [(0,)]),
-        ("alphabet_size",),
     ),
 }
 

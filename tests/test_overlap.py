@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from subwordcount.overlap import border_profile, can_overlap, is_self_intersecting
+from subwordcount.overlap import _failure_function, can_overlap, is_self_intersecting
 
 
 def naive_border_lengths(seq):
@@ -37,24 +37,28 @@ binary_patterns = st.lists(st.integers(0, 1), min_size=1, max_size=8).map(tuple)
 
 
 class TestBorderProfile:
+    """A pattern's borders as the package reads them: its failure function,
+    whose last value is the longest border, and ``is_self_intersecting``."""
+
     def test_known_profiles(self):
-        assert border_profile("abab") == frozenset({2})
-        assert border_profile("aa") == frozenset({1})
-        assert border_profile("aaaa") == frozenset({1, 2, 3})
-        assert border_profile("abc") == frozenset()
-        assert border_profile("abacaba") == frozenset({1, 3})
+        assert _failure_function("abab") == [0, 0, 1, 2]
+        assert _failure_function("aaaa") == [0, 1, 2, 3]
+        assert _failure_function("abc") == [0, 0, 0]
+        assert _failure_function("abacaba") == [0, 0, 1, 0, 1, 2, 3]
 
     def test_single_symbol_has_no_proper_border(self):
-        assert border_profile((0,)) == frozenset()
+        assert _failure_function((0,)) == [0]
+        assert not is_self_intersecting((0,))
 
     def test_accepts_lists(self):
-        assert border_profile([0, 1, 0]) == frozenset({1})
         assert is_self_intersecting([0, 1, 0])
         assert can_overlap([0, 1], (1, 2))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            border_profile(())
+            is_self_intersecting(())
+        with pytest.raises(ValueError):
+            can_overlap((), (0,))
 
     def test_long_patterns_take_one_linear_pass(self):
         # comparing the prefix and suffix slices of every length would
@@ -62,26 +66,27 @@ class TestBorderProfile:
         borderless = (0,) + (1,) * 99_999
         periodic = (0, 1) * 50_000
         start = time.perf_counter()
-        assert border_profile(borderless) == frozenset()
         assert not is_self_intersecting(borderless)
-        assert border_profile(periodic) == frozenset(range(2, 100_000, 2))
+        assert is_self_intersecting(periodic)
         assert time.perf_counter() - start < 5
 
     @given(patterns)
     def test_matches_naive_slice_scan(self, pattern):
-        assert border_profile(pattern) == naive_border_lengths(pattern)
+        # every value, not only the last: the overlap scan reads them all
+        assert _failure_function(pattern) == [
+            max(naive_border_lengths(pattern[: i + 1]), default=0) for i in range(len(pattern))
+        ]
 
     @given(st.one_of(patterns, binary_patterns))
     @example((0, 1, 0, 1, 0))
     @example((0, 0, 0, 0))
     @example((1, 0, 1, 1, 0, 1))
     def test_borders_are_the_shifts_where_a_pattern_meets_itself(self, pattern):
-        # n - s is a border exactly when the pattern agrees with itself
-        # shifted by s, for every nonzero shift s that still overlaps
-        n = len(pattern)
-        borders = border_profile(pattern)
-        for shift in range(1, n):
-            assert (n - shift in borders) == agrees_at_shift(pattern, pattern, shift), shift
+        # a border of length n - s is the pattern agreeing with itself
+        # shifted by s, for a nonzero shift s that still overlaps
+        assert is_self_intersecting(pattern) == any(
+            agrees_at_shift(pattern, pattern, shift) for shift in range(1, len(pattern))
+        )
 
 
 class TestSelfIntersection:

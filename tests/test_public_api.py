@@ -1,11 +1,15 @@
 """The package exports the names a counting library needs, and no more."""
 
+import ast
 import importlib
 import types
+from pathlib import Path
 
 import pytest
 
 import subwordcount
+
+PACKAGE = Path(subwordcount.__file__).resolve().parent
 
 EXPORTED = [
     "BudgetExceededError",
@@ -34,7 +38,17 @@ INTERNAL = {
     ],
     "combinatorics": ["binomial", "multichoose", "multinomial"],
     "enumeration": ["occurrence_profile_counts"],
-    "overlap": ["border_profile", "can_overlap", "is_self_intersecting"],
+    "overlap": ["can_overlap", "is_self_intersecting"],
+}
+
+# module-level definitions that nothing in the package loads, each kept for
+# a reader outside it
+UNRUN_BUT_KEPT = {
+    "count_matches": "the tests and demos/04_oracles.py check transitions with it",
+    "binomial": "perfbench's tracer wraps it through its FOLDED table",
+    "multichoose": "perfbench's tracer wraps it through its FOLDED table",
+    "is_self_intersecting": "perfbench's SPANNED table and tests/helpers.py call it",
+    "can_overlap": "perfbench's SPANNED table and tests/helpers.py call it",
 }
 
 
@@ -62,3 +76,24 @@ def test_every_other_public_attribute_is_a_submodule():
 def test_internals_import_from_their_module_only(module, name):
     assert hasattr(importlib.import_module(f"subwordcount.{module}"), name)
     assert not hasattr(subwordcount, name)
+
+
+def test_the_package_defines_only_what_it_runs():
+    defined, loaded = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined.update(
+            node.name
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        )
+        for node in ast.walk(tree):
+            # an import alone does not count: it is a name read, here or as
+            # module.name, that runs a definition
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    assert defined
+    unrun = defined - loaded - set(subwordcount.__all__)
+    assert unrun == set(UNRUN_BUT_KEPT)
