@@ -10,7 +10,7 @@ jobs explicitly instead of running forever.
 import time
 
 from subwordcount import BudgetExceededError, ProblemInstance, dp_count, enumerate_count
-from subwordcount.automaton import build_automaton, count_matches
+from subwordcount.automaton import build_automaton
 
 inst = ProblemInstance.from_pairs(3, 9, [((0, 1), 1), ((2, 1), 2)])
 
@@ -26,13 +26,13 @@ print(f"enumeration: {brute}  ({brute_time * 1000:.1f} ms)")
 print(f"automaton:   {clever}  ({clever_time * 1000:.1f} ms)")
 print()
 
-# The automaton itself is a small reusable object: one state per pattern
-# prefix, sparse transition rows (a symbol absent from a row leads back
-# to the root), and emit sets.  Scanning a word gives per-pattern counts.
+# The automaton itself is a small object: one state per pattern prefix,
+# each with a sparse transition row (a symbol absent from the row leads
+# back to the root, state 0) and the patterns that end on entering it.
 auto = build_automaton(3, [(0, 1), (2, 1)])
-word = (0, 1, 2, 1, 0, 1, 2, 1, 1)
-print(f"automaton has {auto.state_count} states")
-print(f"occurrences of 01 and 21 in {word}: {count_matches(auto, word)}")
+print(f"automaton for 01 and 21 has {auto.state_count} states")
+for state, (row, emits) in enumerate(zip(auto.goto, auto.emits)):
+    print(f"  state {state}: goto {dict(sorted(row.items()))}, emits {list(emits)}")
 print()
 
 # Oversized jobs are refused, not attempted.  Enumeration guards on the

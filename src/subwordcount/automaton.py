@@ -71,7 +71,6 @@ class MatchAutomaton:
             for the symbols that do not lead to the root, state 0.
         emits: emits[state] lists, in increasing order, the indices of the
             patterns that are suffixes of the state's prefix.
-        pattern_count: number of patterns the automaton was built from.
         successors: successors[state] lists (next state, symbol count)
             pairs, one per distinct next state, in increasing order; the
             counts sum to alphabet_size.
@@ -80,7 +79,6 @@ class MatchAutomaton:
     alphabet_size: int
     goto: tuple[dict[int, int], ...]
     emits: tuple[tuple[int, ...], ...]
-    pattern_count: int
     successors: tuple[tuple[tuple[int, int], ...], ...]
 
     @property
@@ -144,20 +142,8 @@ def build_automaton(alphabet_size: int, patterns: Sequence) -> MatchAutomaton:
         alphabet_size=alphabet_size,
         goto=tuple(goto),
         emits=tuple(emits),
-        pattern_count=len(targets),
         successors=tuple(successors),
     )
-
-
-def count_matches(automaton: MatchAutomaton, word: Sequence[int]) -> tuple[int, ...]:
-    """Per-pattern occurrence counts for one word, via a single scan."""
-    counts = [0] * automaton.pattern_count
-    state = 0
-    for symbol in word:
-        state = automaton.goto[state].get(symbol, 0)
-        for index in automaton.emits[state]:
-            counts[index] += 1
-    return tuple(counts)
 
 
 @dataclass(frozen=True)

@@ -143,8 +143,9 @@ def _parse_pattern_body(raw, lookup: dict[str, int] | None) -> tuple:
         raise DocumentError("a pattern must be a string or an index list")
     if lookup is None:
         raise DocumentError(
-            "string patterns need single-character symbols, at most "
-            f"{len(DEFAULT_SYMBOLS)} of them when unnamed; use index lists"
+            "string patterns need a one-character name for each symbol, which an unnamed "
+            f"alphabet has only up to its {len(DEFAULT_SYMBOLS)} symbols a..z0..9: name the "
+            "symbols with --alphabet, or give index-list patterns in an --input document"
         )
     for ch in raw:
         if ch not in lookup:
@@ -195,11 +196,6 @@ def _document_from_flags(args) -> dict:
         alphabet: dict = {"symbols": list(args.alphabet)}
     elif args.q is None:
         raise DocumentError("give --q N or --alphabet SYMBOLS")
-    elif args.q > len(DEFAULT_SYMBOLS):
-        raise DocumentError(
-            f"--q {args.q} exceeds the {len(DEFAULT_SYMBOLS)} unnamed symbols a..z0..9: "
-            "name them with --alphabet, or give index-list patterns in an --input document"
-        )
     else:
         alphabet = {"size": args.q}
     patterns = []

@@ -311,8 +311,6 @@ def iter_copy_counts(
     shortest pattern no position at its minimum has room, so the walk
     goes straight to the last raised one.
     """
-    if not specs:
-        raise ValueError("specs must be nonempty")
     lengths = [len(pattern) for pattern, _ in specs]
     minimums = [count for _, count in specs]
     shortest = min(lengths)

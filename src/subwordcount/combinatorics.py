@@ -51,8 +51,6 @@ def multinomial(parts: Sequence[int]) -> int:
     total = 0
     out = 1
     for part in parts:
-        if part < 0:
-            raise ValueError("parts must be >= 0")
         total += part
         out *= math.comb(total, part)
     return out

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import subwordcount.automaton as automaton_module
-from helpers import count_occurrences
 from subwordcount import (
     BudgetExceededError,
     ProblemInstance,
@@ -21,7 +20,6 @@ from subwordcount.automaton import (
     TallyGraph,
     advance_distribution,
     build_automaton,
-    count_matches,
     tally_graph,
 )
 from subwordcount.enumeration import occurrence_profile_counts
@@ -166,7 +164,6 @@ class TestBuildAutomaton:
         auto = build_automaton(4, [(0, 1), (2, 3)])
         # root plus two states per pattern
         assert auto.state_count == 5
-        assert auto.pattern_count == 2
 
     def test_shared_prefixes_share_states(self):
         auto = build_automaton(2, [(0, 0), (0, 1)])
@@ -227,6 +224,8 @@ class TestBuildAutomaton:
     @example((2, [(0, 0), (0, 0, 0)], (0, 0, 0, 0, 1, 0, 0)))  # bordered, one a prefix of the other
     @example((3, [(0, 1, 0), (1, 0), (2,)], (0, 1, 0, 1, 0, 2, 1, 0)))  # overlapping pairs
     @example((2, [(0, 1, 1), (1, 1, 0)], (0, 1, 1, 0, 1, 1)))
+    # a wide alphabet, with symbols no pattern holds
+    @example((10**6, [(0, 1), (1, 0, 1)], (0, 1, 999_999, 1, 0, 1, 0, 1, 3, 0, 1)))
     @settings(max_examples=80, deadline=None)
     def test_state_is_the_longest_suffix_that_is_a_pattern_prefix(self, q_patterns_word):
         q, patterns, word = q_patterns_word
@@ -254,50 +253,6 @@ class TestBuildAutomaton:
             assert set(row) <= {0, 1}
             assert sum(symbols for _, symbols in auto.successors[state]) == q
         assert walk(auto, (5, 0, 7, 0, 0, 1)) == 2
-
-
-class TestCountMatches:
-    def test_simple_scan(self):
-        auto = build_automaton(2, [(0, 0), (0, 1)])
-        assert count_matches(auto, (0, 0, 0, 1)) == (2, 1)
-
-    @given(
-        st.lists(st.integers(0, 2), min_size=0, max_size=12),
-        st.lists(
-            st.lists(st.integers(0, 2), min_size=1, max_size=3).map(tuple),
-            min_size=1,
-            max_size=3,
-            unique=True,
-        ),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_agrees_with_direct_occurrence_counts(self, word, patterns):
-        auto = build_automaton(3, patterns)
-        expected = tuple(count_occurrences(word, p) for p in patterns)
-        assert count_matches(auto, word) == expected
-
-    @given(
-        st.integers(4, 10**6).flatmap(
-            lambda q: st.tuples(
-                st.just(q),
-                st.lists(
-                    st.lists(st.integers(0, 2), min_size=1, max_size=3).map(tuple),
-                    min_size=1,
-                    max_size=3,
-                    unique=True,
-                ),
-                # words mix the patterns' symbols with ones no pattern holds
-                st.lists(st.integers(0, 2) | st.integers(3, q - 1), max_size=12),
-            )
-        )
-    )
-    @example((10**6, [(0, 1), (1, 0, 1)], [0, 1, 999_999, 1, 0, 1, 0, 1, 3, 0, 1]))
-    @settings(max_examples=80, deadline=None)
-    def test_agrees_with_direct_occurrence_counts_on_wide_alphabets(self, q_patterns_word):
-        q, patterns, word = q_patterns_word
-        auto = build_automaton(q, patterns)
-        expected = tuple(count_occurrences(word, p) for p in patterns)
-        assert count_matches(auto, word) == expected
 
 
 class TestAdvanceDistribution:

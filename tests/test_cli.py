@@ -314,6 +314,27 @@ class TestCount:
         assert "--alphabet" in err and "--input" in err
         assert "use index lists" not in err
 
+    def test_string_patterns_past_the_unnamed_symbols_give_one_message_inline_and_in_a_document(
+        self, capsys, tmp_path
+    ):
+        path = tmp_path / "instance.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "alphabet": {"size": 40},
+                    "length": 3,
+                    "patterns": [{"pattern": "ab", "count": 1}],
+                }
+            )
+        )
+        inline = run(capsys, "count", "--q", "40", "--t", "3", "--pattern", "ab=1")
+        document = run(capsys, "count", "--input", str(path))
+        assert inline == document
+        code, out, err = inline
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert "--alphabet" in err and "--input" in err
+
     def test_inapplicable_reports_and_exits_2(self, capsys):
         code, out, err = run(capsys, "count", "--q", "2", "--t", "4", "--pattern", "aa=1")
         assert code == EXIT_NOT_APPLICABLE

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import borderless_patterns, independent_pattern_pairs
+from helpers import all_patterns, borderless_patterns, independent_pattern_pairs
 from subwordcount import (
     BudgetExceededError,
     NotApplicableError,
@@ -20,6 +21,7 @@ from subwordcount import (
 )
 from subwordcount.closed_form import iter_copy_counts
 from subwordcount.combinatorics import multinomial
+from subwordcount.overlap import can_overlap, is_self_intersecting
 
 
 class TestCountSingle:
@@ -488,3 +490,11 @@ def test_borderless_pattern_helper_is_sound():
     pats = borderless_patterns(3, 3)
     assert (0, 1) in pats and (0, 1, 1) in pats
     assert (0, 1, 0) not in pats and (0, 0) not in pats
+    # the slicing definitions select what the package's overlap tests select
+    for q in (1, 2, 3):
+        for max_length in (1, 2, 3):
+            pool = [p for p in all_patterns(q, max_length) if not is_self_intersecting(p)]
+            assert borderless_patterns(q, max_length) == pool
+            assert list(independent_pattern_pairs(q, max_length)) == [
+                (a, b) for a, b in itertools.combinations(pool, 2) if not can_overlap(a, b)
+            ]

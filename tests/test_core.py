@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import naive_border_lengths, shift_witness_overlap
 from subwordcount import (
     NotApplicableError,
     ProblemInstance,
@@ -18,7 +19,6 @@ from subwordcount import closed_form
 from subwordcount.core import CountBreakdown
 from subwordcount.enumeration import occurrence_profile_counts
 from subwordcount.overlap import can_overlap
-from test_overlap import naive_border_lengths, shift_witness_overlap
 
 # each validated entry point, built from valid defaults, with its integer fields
 SINGLE_ARGS = {"alphabet_size": 2, "word_length": 4, "pattern_length": 2, "required_count": 1}

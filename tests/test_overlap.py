@@ -5,30 +5,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from helpers import agrees_at_shift, naive_border_lengths, shift_witness_overlap
 from subwordcount.overlap import _failure_function, can_overlap, is_self_intersecting
-
-
-def naive_border_lengths(seq):
-    seq = tuple(seq)
-    return frozenset(
-        k for k in range(1, len(seq)) if seq[:k] == seq[len(seq) - k :]
-    )
-
-
-def agrees_at_shift(a, b, shift):
-    """Whether b, placed ``shift`` positions after the start of a, matches
-    a symbol by symbol on every position the two share."""
-    lo = max(0, shift)
-    hi = min(len(a), shift + len(b))
-    return all(a[i] == b[i - shift] for i in range(lo, hi))
-
-
-def shift_witness_overlap(a, b):
-    """Overlap oracle: try every relative placement of the two patterns
-    and test whether they agree on the shared positions.  A shift where
-    they agree yields a word containing both with a common position."""
-    a, b = tuple(a), tuple(b)
-    return any(agrees_at_shift(a, b, shift) for shift in range(-(len(b) - 1), len(a)))
 
 
 patterns = st.lists(st.integers(0, 4), min_size=1, max_size=6).map(tuple)

@@ -33,7 +33,6 @@ INTERNAL = {
         "TallyGraph",
         "advance_distribution",
         "build_automaton",
-        "count_matches",
         "tally_graph",
     ],
     "combinatorics": ["binomial", "multichoose", "multinomial"],
@@ -44,11 +43,10 @@ INTERNAL = {
 # module-level definitions that nothing in the package loads, each kept for
 # a reader outside it
 UNRUN_BUT_KEPT = {
-    "count_matches": "the tests and demos/04_oracles.py check transitions with it",
     "binomial": "perfbench's tracer wraps it through its FOLDED table",
     "multichoose": "perfbench's tracer wraps it through its FOLDED table",
-    "is_self_intersecting": "perfbench's SPANNED table and tests/helpers.py call it",
-    "can_overlap": "perfbench's SPANNED table and tests/helpers.py call it",
+    "is_self_intersecting": "perfbench's tracer wraps it through its SPANNED table",
+    "can_overlap": "perfbench's tracer wraps it through its SPANNED table",
 }
 
 
