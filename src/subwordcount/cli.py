@@ -13,7 +13,8 @@ Exit codes are a contract shared by every subcommand:
   1  malformed input (bad flags, unreadable or unwritable file, bad document)
   2  the closed form does not apply to the instance
   3  two counting methods disagreed (the headline failure mode)
-  4  refused because a work guard was exceeded: an oracle's guard or
+  4  refused because a work guard was exceeded: verify's two oracles both
+     refused, enumeration past its guard and the automaton past its
      budget, or the breakdown's cap on its cells, copy-count tuples times
      the pattern count plus the decimal digits of q ** t
 
@@ -251,10 +252,16 @@ def _cmd_count(args) -> tuple[dict | None, int]:
 def _cmd_verify(args) -> tuple[dict, int]:
     instance = _instance_from_args(args)
     values = {"closed_form": count_multi(instance).total}
-    if args.oracle != "automaton":
-        values["enumeration"] = enumerate_count(instance, args.guard)
-    if args.oracle != "enum":
-        values["automaton"] = dp_count(instance)
+    refusals = []
+    oracles = {"enumeration": (enumerate_count, args.guard), "automaton": (dp_count,)}
+    for name, (oracle, *bound) in oracles.items():
+        try:
+            values[name] = oracle(instance, *bound)
+        except BudgetExceededError as exc:  # skip this oracle; the other may still run
+            refusals.append(str(exc))
+    if len(values) == 1:  # main reports both refusals and exits 4
+        raise BudgetExceededError("\n".join(refusals))
+    sys.stderr.writelines(f"{refusal}\n" for refusal in refusals)
     agree = len(set(values.values())) == 1
     payload = {
         "values": {name: decimal_string(value) for name, value in values.items()},
@@ -339,13 +346,7 @@ def _build_parser() -> _Parser:
         type=_non_negative_int,
         default=DEFAULT_GUARD,
         metavar="N",
-        help="enumeration refuses instances with more than N words",
-    )
-    verify_p.add_argument(
-        "--oracle",
-        choices=("enum", "automaton", "both"),
-        default="both",
-        help="which oracle(s) to run (default: both)",
+        help="skip enumeration on instances of more than N words (0 always skips it)",
     )
 
     sub.add_parser(

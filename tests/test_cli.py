@@ -393,6 +393,7 @@ class TestCount:
             ("nonsense",),
             ("verify", "--q", "2", "--t", "4", "--pattern", "ab=1", "--guard", "-1"),
             ("verify", "--q", "2", "--t", "4", "--pattern", "ab=1", "--oracle", "all"),
+            ("verify", "--q", "2", "--t", "4", "--pattern", "ab=1", "--oracle", "both"),
             ("validate", "--input", "."),
             ("count", "--q", "2", "--t", "4", "--pattern", "ab=1", "--json"),
             ("bench", "--q", "4", "--t", "4", "--pattern", "abb=2"),  # an unknown command
@@ -512,7 +513,7 @@ class TestVerify:
         code, out, _ = run(
             capsys,
             "verify", "--q", "3", "--t", "4",
-            "--pattern", "ab=1", "--pattern", "cb=1", "--oracle", "both",
+            "--pattern", "ab=1", "--pattern", "cb=1",
         )
         assert code == EXIT_OK
         payload = json.loads(out)
@@ -523,12 +524,13 @@ class TestVerify:
             "automaton": "2",
         }
 
-    def test_single_oracle_choice(self, capsys):
-        code, out, _ = run(
-            capsys, "verify", "--q", "2", "--t", "6", "--pattern", "ab=2", "--oracle", "automaton"
+    def test_guard_0_skips_enumeration(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "--q", "2", "--t", "6", "--pattern", "ab=2", "--guard", "0"
         )
         assert code == EXIT_OK
-        assert set(json.loads(out)["values"]) == {"closed_form", "automaton"}
+        assert list(json.loads(out)["values"]) == ["closed_form", "automaton"]
+        assert err == "enumeration refused: 2**6 words exceed the guard of 0\n"
 
     @pytest.mark.parametrize(
         "guard, message", [("-1", "must be >= 0, got -1"), ("x", "invalid int value: 'x'")]
@@ -539,24 +541,23 @@ class TestVerify:
         assert (code, out) == (EXIT_INPUT, "")
         assert err == f"error: argument --guard: {message}\n"
 
-    def test_guard_refusal_exits_4(self, capsys):
+    def test_guard_refusal_skips_enumeration_with_one_stderr_line(self, capsys):
         code, out, err = run(
-            capsys,
-            "verify", "--q", "4", "--t", "50", "--pattern", "abc=1",
-            "--oracle", "enum", "--guard", "1000",
+            capsys, "verify", "--q", "4", "--t", "50", "--pattern", "abc=1", "--guard", "1000"
         )
-        assert code == EXIT_REFUSED
-        assert "refused" in err
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert list(payload["values"]) == ["closed_form", "automaton"]
+        assert payload["agree"] is True
+        assert err == "enumeration refused: 4**50 words exceed the guard of 1000\n"
 
     def test_guard_refuses_the_one_empty_word(self, capsys):
         code, out, err = run(
-            capsys,
-            "verify", "--q", "2", "--t", "0", "--pattern", "a=0",
-            "--oracle", "enum", "--guard", "0",
+            capsys, "verify", "--q", "2", "--t", "0", "--pattern", "a=0", "--guard", "0"
         )
-        assert code == EXIT_REFUSED
-        assert out == ""
-        assert "enumeration refused" in err
+        assert code == EXIT_OK
+        assert json.loads(out)["values"] == {"closed_form": "1", "automaton": "1"}
+        assert err == "enumeration refused: 2**0 words exceed the guard of 0\n"
 
     def test_more_occurrences_than_room_count_0_in_every_method(self, capsys):
         # the automaton gives 0 before checking its budget, which this
@@ -568,14 +569,24 @@ class TestVerify:
         assert payload["agree"] is True
 
     def test_automaton_refusal_exits_4(self, capsys, monkeypatch):
-        # the real sweep, with a budget nothing fits in
+        # the real sweep, with a budget nothing fits in, and a guard no word fits in
         monkeypatch.setattr(cli, "dp_count", partial(dp_count, step_budget=0))
         code, out, err = run(
-            capsys, "verify", "--q", "2", "--t", "4", "--pattern", "ab=1", "--oracle", "automaton"
+            capsys, "verify", "--q", "2", "--t", "4", "--pattern", "ab=1", "--guard", "0"
         )
         assert code == EXIT_REFUSED
         assert out == ""
-        assert "refused" in err and "Traceback" not in err
+        assert [line.split(":")[0] for line in err.splitlines()] == [
+            "enumeration refused",
+            "automaton refused",
+        ]
+
+    def test_automaton_refusal_alone_skips_the_automaton(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "dp_count", partial(dp_count, step_budget=0))
+        code, out, err = run(capsys, "verify", "--q", "2", "--t", "4", "--pattern", "ab=1")
+        assert code == EXIT_OK
+        assert json.loads(out)["values"] == {"closed_form": "10", "enumeration": "10"}
+        assert err.startswith("automaton refused") and len(err.splitlines()) == 1
 
     def test_inapplicable_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "--q", "2", "--t", "6", "--pattern", "aba=1")
@@ -584,9 +595,7 @@ class TestVerify:
 
     def test_disagreement_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "dp_count", lambda instance: 999)
-        code, out, _ = run(
-            capsys, "verify", "--q", "2", "--t", "4", "--pattern", "ab=1", "--oracle", "automaton"
-        )
+        code, out, _ = run(capsys, "verify", "--q", "2", "--t", "4", "--pattern", "ab=1")
         assert code == EXIT_DISAGREE
         payload = json.loads(out)
         assert payload["agree"] is False
@@ -751,7 +760,7 @@ class TestSharedParser:
             ["count", "--q", "4", "--t", "7", "--pattern", "ab=1", "--pattern", "cd=0"],
             ["count", "--q", "2", "--t", "7", "--pattern", "aba=1"],
             ["count", "--q", "2", "--t", "5", "--pattern", "ab=1", "--breakdown"],
-            ["verify", "--q", "3", "--t", "6", "--pattern", "ab=1", "--oracle", "enum"],
+            ["verify", "--q", "3", "--t", "6", "--pattern", "ab=1", "--guard", "0"],
             ["validate", "--q", "2", "--t", "6", "--pattern", "aba=2"],
             ["validate", "--alphabet", "ACGT", "--t", "6", "--pattern", "ATG=1"],
         ]
@@ -762,7 +771,7 @@ class TestSharedParser:
     def test_no_flag_or_default_carries_over_between_calls(self, capsys, monkeypatch):
         first = [
             "verify", "--q", "3", "--t", "4", "--pattern", "ab=1", "--pattern", "cb=1",
-            "--guard", "0", "--oracle", "automaton",
+            "--guard", "0",
         ]
         second = ["verify", "--q", "3", "--t", "5", "--pattern", "ab=1"]
         code, out, _ = run(capsys, *first)

@@ -422,6 +422,55 @@ def odometer_copy_counts(word_length, specs):
         free -= lengths[position]
 
 
+@st.composite
+def moment_shapes(draw):
+    """(q, t, lengths): 1-3 pattern lengths at t from 100 to 1,500, each
+    with room for at most about 10 copies, so the requirement vectors stay
+    few; all lengths are one length half the time (the layer sum) and mixed
+    otherwise (the recurrence)."""
+    t = draw(st.integers(100, 1500))
+    copies = draw(st.lists(st.integers(1, 10), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        copies = [copies[0]] * len(copies)
+    return len(copies) + draw(st.integers(1, 3)), t, [t // c for c in copies]
+
+
+class TestBinomialMoments:
+    """Summed over every requirement vector x and weighted by C(x_p, k),
+    the counts count words with k marked occurrences of pattern p.  Marked
+    copies of a borderless pattern cannot overlap, so there are
+    C(t - k a_p + k, k) q ** (t - k a_p) of them: q ** t at k = 0.  Exact
+    values with no oracle, so both evaluators are checked at word lengths
+    past what enumeration and the per-tuple sum reach."""
+
+    @given(moment_shapes())
+    # a length-1 pattern beside a length-3 one: P_1 meets the q term at k = 1
+    @example((4, 200, [1, 3]))
+    # three patterns of one length: the layer sum's scale steps by -3
+    @example((5, 1500, [100, 100, 100]))
+    @settings(max_examples=50, deadline=None)
+    def test_moments_over_every_requirement_vector(self, shape):
+        q, t, lengths = shape
+        d = len(lengths)
+        # each pattern is its own head symbol then filler symbols d, so all
+        # are borderless and no two overlap
+        patterns = [(head,) + (d,) * (a - 1) for head, a in enumerate(lengths)]
+        moments = [[0, 0, 0] for _ in patterns]
+        for required in itertools.product(*(range(t // a + 1) for a in lengths)):
+            if sum(a * x for a, x in zip(lengths, required)) > t:
+                continue
+            total = count_multi(ProblemInstance.from_pairs(q, t, zip(patterns, required))).total
+            for moment, x in zip(moments, required):
+                for k in range(3):
+                    moment[k] += math.comb(x, k) * total
+        for moment, a in zip(moments, lengths):
+            marked = [
+                math.comb(t - k * a + k, k) * q ** (t - k * a) if k * a <= t else 0
+                for k in range(3)
+            ]
+            assert moment == marked, a
+
+
 class TestIterCopyCounts:
     @pytest.mark.parametrize("mixed", [False, True])
     def test_matches_the_odometer_walk(self, mixed):
