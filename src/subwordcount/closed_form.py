@@ -305,35 +305,24 @@ def iter_copy_counts(
     length_p * i_p is at most ``word_length``.  The sequence is finite and
     may be empty.
 
-    Each step is an odometer's: one more copy at the last position with
-    room, every later position back at its minimum.  The positions above
-    their minimum are kept on a stack: while the free length is below the
-    shortest pattern no position at its minimum has room, so the walk
-    goes straight to the last raised one.
+    Each step is an odometer's: every trailing position with no room goes
+    back to its minimum, and the first position that fits takes one more
+    copy.
     """
+    if not specs:
+        raise ValueError("iter_copy_counts needs at least one pattern")
     lengths = [len(pattern) for pattern, _ in specs]
     minimums = [count for _, count in specs]
-    shortest = min(lengths)
     copies = list(minimums)  # the first tuple: every count at its minimum
-    raised: list[int] = []  # the positions above their minimum, in increasing order
     free = word_length - sum(a * i for a, i in zip(lengths, copies))
     while free >= 0:
         yield tuple(copies)
         position = len(copies) - 1
         while position >= 0 and lengths[position] > free:
-            if free < shortest:
-                # no position has room until a raised one goes back
-                if not raised:
-                    return
-                position = raised[-1]
-            if raised and raised[-1] == position:
-                raised.pop()
-                free += lengths[position] * (copies[position] - minimums[position])
-                copies[position] = minimums[position]
+            free += lengths[position] * (copies[position] - minimums[position])
+            copies[position] = minimums[position]
             position -= 1
         if position < 0:
             return
         copies[position] += 1
         free -= lengths[position]
-        if not raised or raised[-1] != position:
-            raised.append(position)

@@ -596,6 +596,43 @@ class TestDpCount:
         assert dp_count(inst) == top == count_multi(inst).total
 
     @given(
+        st.integers(2, 4).flatmap(
+            lambda q: st.tuples(
+                st.just(q), st.lists(st.integers(0, q - 1), min_size=1, max_size=7).map(tuple)
+            )
+        ),
+        st.integers(40, 120),
+    )
+    @example((2, (0, 0, 0, 0)), 120)  # every shift a border
+    @example((2, (0, 1, 0, 1)), 100)  # border 01
+    @example((2, (0, 1, 0)), 80)  # border 0
+    @example((2, (0, 1, 1, 0, 1, 1, 0)), 60)  # borders 0 and 0110
+    @settings(max_examples=6, deadline=None)
+    def test_moments_over_every_required_count(self, q_pattern, t):
+        # summed over every x, the counts give all q ** t words, and
+        # weighted by x they give the words with one marked occurrence:
+        # (t - a + 1) q ** (t - a), bordered patterns included
+        q, pattern = q_pattern
+        a = len(pattern)
+        counts = [
+            dp_count(ProblemInstance.from_pairs(q, t, [(pattern, x)])) for x in range(t - a + 2)
+        ]
+        assert sum(counts) == q**t
+        assert sum(x * c for x, c in enumerate(counts)) == (t - a + 1) * q ** (t - a)
+
+    def test_moments_of_an_overlapping_pair(self):
+        # 010 and 10 overlap both ways; the moments hold for each pattern
+        t = 16
+        patterns = [(0, 1, 0), (1, 0)]
+        moments = [0, 0, 0]  # k = 0, then k = 1 on each pattern
+        for required in itertools.product(range(t - 1), range(t)):
+            count = dp_count(ProblemInstance.from_pairs(2, t, list(zip(patterns, required))))
+            moments[0] += count
+            moments[1] += required[0] * count
+            moments[2] += required[1] * count
+        assert moments == [2**t, (t - 2) * 2 ** (t - 3), (t - 1) * 2 ** (t - 2)]
+
+    @given(
         st.integers(2, 3),
         st.integers(0, 7),
         st.lists(
