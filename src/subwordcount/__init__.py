@@ -13,9 +13,10 @@ and the two guard defaults.  ``CountBreakdown`` (``subwordcount.core``)
 and the other internals import from their modules.
 """
 
-from .automaton import DEFAULT_STEP_BUDGET, dp_count
+from .automaton import dp_count
 from .closed_form import count_multi, count_single
 from .core import (
+    DEFAULT_STEP_BUDGET,
     BudgetExceededError,
     NotApplicableError,
     ProblemInstance,

@@ -51,9 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .core import BudgetExceededError, ProblemInstance
-
-DEFAULT_STEP_BUDGET = 10**9
+from .core import DEFAULT_STEP_BUDGET, BudgetExceededError, ProblemInstance
 
 
 @dataclass(frozen=True)

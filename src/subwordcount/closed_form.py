@@ -46,6 +46,10 @@ evaluator takes numbers, not an instance:
     stepped by one product by -d.  No layer multiplies two big numbers;
     q ** (free mod a) multiplies the sum once at the end.
 
+Each evaluator's work is known before it starts, so ``count_multi``
+refuses with ``BudgetExceededError`` when it would pass
+``DEFAULT_STEP_BUDGET`` steps, the budget the automaton oracle shares.
+
 The layer sum has free / a terms against the recurrence's free steps, so
 it wins on long patterns and loses on short ones.  At q = 4, t = 4000,
 x = 2 (x86_64, CPython 3.11, best of 5) one length-3 pattern takes 54 ms
@@ -79,12 +83,14 @@ from typing import Iterator, Sequence
 
 # binomial and multichoose are not called here; the timing harness's tracer
 # wraps closed_form.binomial and closed_form.multichoose (its FOLDED table)
-from .combinatorics import binomial, multichoose, multinomial  # noqa: F401
+from .combinatorics import binomial, multichoose  # noqa: F401
 from .core import (
+    DEFAULT_STEP_BUDGET,
     BudgetExceededError,
     CountBreakdown,
     NotApplicableError,
     ProblemInstance,
+    decimal_string,
     require_int,
     validate_instance,
 )
@@ -132,9 +138,11 @@ def count_multi(instance: ProblemInstance) -> CountBreakdown:
     distinct pattern length takes the O(free) coefficient recurrence; one
     whose patterns share one length a takes the layer sum of free // a + 1
     terms, faster from about a = 9 on and slower below (the module
-    docstring gives the timings).  The breakdown's ``terms`` are the
-    per-tuple summation, evaluated on first read and checked against the
-    total.
+    docstring gives the timings).  Before either evaluator runs, raises
+    ``BudgetExceededError`` when its steps, free // a + 1 layers or
+    free * (distinct lengths + 1) products, pass ``DEFAULT_STEP_BUDGET``.
+    The breakdown's ``terms`` are the per-tuple summation, evaluated on
+    first read and checked against the total.
     """
     require_applicable(instance)
     free = instance.word_length - instance.minimum_occupancy
@@ -142,13 +150,36 @@ def count_multi(instance: ProblemInstance) -> CountBreakdown:
         return CountBreakdown(0, per_tuple_terms, (instance,))
     q = instance.alphabet_size
     lengths = instance.pattern_lengths
+    distinct = len(set(lengths))
+    steps = free // lengths[0] + 1 if distinct == 1 else free * (distinct + 1)
+    if steps > DEFAULT_STEP_BUDGET:
+        raise BudgetExceededError(
+            f"closed form refused: the {'layer sum' if distinct == 1 else 'recurrence'} "
+            f"needs {decimal_string(steps)} steps, over the budget of {DEFAULT_STEP_BUDGET}"
+        )
     required = instance.required_counts
     required_total = sum(required)
-    if len(set(lengths)) == 1:
+    if distinct == 1:
         coefficient = _layer_sum(q, free, lengths[0], len(lengths), required_total)
     else:
         coefficient = _recurrence(q, free, lengths, required_total)
     return CountBreakdown(multinomial(required) * coefficient, per_tuple_terms, (instance,))
+
+
+def multinomial(parts: Sequence[int]) -> int:
+    """(sum of parts)! / product(part!) via a telescoping binomial product.
+
+    The telescoping form keeps every intermediate no larger than the final
+    result, which matters when the parts are large.
+    """
+    if not parts:
+        raise ValueError("parts must be nonempty")
+    total = 0
+    out = 1
+    for part in parts:
+        total += part
+        out *= comb(total, part)
+    return out
 
 
 def require_applicable(instance: ProblemInstance) -> None:

@@ -1,19 +1,19 @@
-"""Exact combinatorial primitives on arbitrary-precision integers.
+"""Exact binomial primitives on arbitrary-precision integers.
 
-Out-of-range binomials are 0 rather than errors, though the closed form
-passes only in-range arguments.  Everything returns exact Python ints,
-never floats.
+Nothing in the package calls them: the closed form takes its binomials
+from ``math.comb`` and defines its own ``multinomial``.  ``closed_form``
+imports both names only because the timing harness's tracer wraps
+``closed_form.binomial`` and ``closed_form.multichoose`` (perfbench's
+FOLDED table).  This module keeps only those pins and goes with them once
+that harness reads only the public API (ROADMAP direction 7).
 
-The closed form calls only ``multinomial``, once per count, for the
-prefactor multinomial(x); its layer sum takes its binomials from
-``math.comb`` directly.  ``binomial`` and ``multichoose`` are kept for
-their tests and the timing harness's tracer.
+Out-of-range binomials are 0 rather than errors.  Everything returns
+exact Python ints, never floats.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 
 def binomial(n: int, k: int) -> int:
@@ -39,18 +39,3 @@ def multichoose(n: int, k: int) -> int:
         return 0
     return math.comb(n + k - 1, k)
 
-
-def multinomial(parts: Sequence[int]) -> int:
-    """(sum of parts)! / product(part!) via a telescoping binomial product.
-
-    The telescoping form keeps every intermediate no larger than the final
-    result, which matters when the parts are large.
-    """
-    if not parts:
-        raise ValueError("parts must be nonempty")
-    total = 0
-    out = 1
-    for part in parts:
-        total += part
-        out *= math.comb(total, part)
-    return out

@@ -7,6 +7,19 @@ the number of times it must occur.  Symbols are plain integers in
 computation.  ``ProblemInstance`` is the one place input values are
 checked.
 
+This module also holds the applicability rules ``validate_instance``
+runs.  A border of a word is a proper nonempty prefix that is also a
+suffix; a pattern with a border can overlap a shifted copy of itself,
+and two patterns that can share a word position break the occupancy
+bookkeeping the closed form relies on.  Both are read from one failure
+function per pattern (the Knuth-Morris-Pratt table; Knuth, Morris &
+Pratt 1977), linear in the pattern length: its last value is the
+longest border.  ``_reads_into`` scans one pattern through the other's
+failure function, as the KMP matcher does, and ``_overlap``, the pair
+rule, reads each pattern of a pair into the other, so a pair check is
+linear in the two lengths.  The rules accept any sequences whose
+elements compare by equality.
+
 Everything is immutable after construction and every function is pure, so
 unrestricted concurrent use is safe.
 """
@@ -18,7 +31,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-from . import overlap
+# most steps an oracle or the closed form takes before it refuses
+DEFAULT_STEP_BUDGET = 10**9
 
 
 class BudgetExceededError(RuntimeError):
@@ -213,29 +227,65 @@ class ValidationReport:
         return not any(self.per_pattern_self_intersection) and not self.cross_overlap_pairs
 
 
+def _failure_function(seq: Sequence) -> list[int]:
+    """fail[i] = length of the longest proper border of seq[:i + 1]."""
+    fail = [0] * len(seq)
+    k = 0
+    for i in range(1, len(seq)):
+        while k > 0 and seq[i] != seq[k]:
+            k = fail[k - 1]
+        if seq[i] == seq[k]:
+            k += 1
+        fail[i] = k
+    return fail
+
+
+def _reads_into(y: Sequence, fail_y: Sequence[int], x: Sequence) -> bool:
+    """True when y occurs in x, or a nonempty suffix of x is a prefix of y.
+
+    Scans x once through y's failure function ``fail_y``: after each
+    symbol, k is the longest suffix read so far that is a prefix of y.
+    """
+    k, n = 0, len(y)
+    for s in x:
+        while k and s != y[k]:
+            k = fail_y[k - 1]
+        if s == y[k]:
+            k += 1
+            if k == n:
+                return True
+    return k > 0
+
+
+def _overlap(x: Sequence, fail_x: Sequence[int], y: Sequence, fail_y: Sequence[int]) -> bool:
+    """True when occurrences of nonempty x and y can share a word position.
+
+    That is when one contains the other or a nonempty proper suffix of
+    either equals a prefix of the other: each is read into the other
+    through its failure function.  y occurs in x, or starts on a suffix
+    of x, only if its first symbol occurs in x, so a read whose first
+    symbol is absent is skipped.  Symmetric in the two patterns; a
+    pattern overlaps itself.
+    """
+    return (y[0] in x and _reads_into(y, fail_y, x)) or (x[0] in y and _reads_into(x, fail_x, y))
+
+
 def validate_instance(instance: ProblemInstance) -> ValidationReport:
     """Check whether the closed-form counts apply to ``instance``.
 
     Flags every pattern with a nonempty border, and every pair of distinct
-    patterns whose occurrences could share a position in some word (one
-    contains the other, or a nonempty proper suffix of one equals a prefix
-    of the other).  Same-pattern adjacency is governed purely by the
+    patterns whose occurrences could share a position in some word
+    (``_overlap``).  Same-pattern adjacency is governed purely by the
     self-intersection flag, so pairs compare distinct patterns only.
     Each pattern's failure function is computed once: its last value is
-    the longest border, and every pair reads each pattern y through the
-    other, x (``overlap._reads_into``).  y occurs in x, or starts on a
-    suffix of x, only if its first symbol occurs in x, so a read whose
-    first symbol is absent is skipped.  Validation never fails; it
-    reports.
+    the longest border, and every pair reuses it.  Validation never
+    fails; it reports.
     """
     pats = instance.patterns
-    fails = [overlap._failure_function(p) for p in pats]
+    fails = [_failure_function(p) for p in pats]
     pairs = []
     for i, x in enumerate(pats):
         for j in range(i + 1, len(pats)):
-            y = pats[j]
-            if (y[0] in x and overlap._reads_into(y, fails[j], x)) or (
-                x[0] in y and overlap._reads_into(x, fails[i], y)
-            ):
+            if _overlap(x, fails[i], pats[j], fails[j]):
                 pairs.append((i, j))
     return ValidationReport(tuple(fail[-1] > 0 for fail in fails), tuple(pairs))

@@ -498,6 +498,26 @@ class TestCount:
             assert code == EXIT_OK
             assert calls == {"count_multi": 1, "validate_instance": 1}, flags
 
+    @pytest.mark.parametrize("command", ["count", "verify"])
+    def test_closed_form_past_its_step_budget_exits_4_at_once(self, capsys, command):
+        # 5 * 10**11 + 1 layers of the layer sum; no oracle runs
+        start = time.perf_counter()
+        argv = (command, "--q", "2", "--t", "1000000000000", "--pattern", "ab=0")
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_REFUSED
+        assert out == ""
+        assert err.startswith("closed form refused") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["count", "verify"])
+    def test_inapplicable_past_the_step_budget_exits_2(self, capsys, command):
+        argv = (command, "--q", "2", "--t", "1000000000000", "--pattern", "aba=0")
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_NOT_APPLICABLE
+        assert out == ""
+        assert json.loads(err)["self_intersecting"] == [True]
+
     def test_count_past_the_int_str_digit_limit(self, capsys):
         # 4,668 digits: str(int) refuses past 4,300, the output must not
         code, out, _ = run(capsys, "count", "--q", "36", "--t", "3000", "--pattern", "abc=1")

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from helpers import all_patterns, borderless_patterns, independent_pattern_pairs
 from subwordcount import (
+    DEFAULT_STEP_BUDGET,
     BudgetExceededError,
     NotApplicableError,
     ProblemInstance,
+    automaton,
     closed_form,
     count_multi,
     count_single,
@@ -19,8 +21,7 @@ from subwordcount import (
     enumerate_count,
     validate_instance,
 )
-from subwordcount.closed_form import iter_copy_counts
-from subwordcount.combinatorics import multinomial
+from subwordcount.closed_form import iter_copy_counts, multinomial
 from subwordcount.overlap import can_overlap, is_self_intersecting
 
 
@@ -167,6 +168,44 @@ def disjoint_instances(draw):
     return ProblemInstance.from_pairs(q, draw(st.integers(0, 12)), pairs)
 
 
+class TestStepBudget:
+    """``count_multi`` refuses before ``multinomial`` and either evaluator
+    once the evaluator's steps pass ``DEFAULT_STEP_BUDGET``."""
+
+    def test_one_constant_bounds_the_closed_form_and_the_automaton(self):
+        assert closed_form.DEFAULT_STEP_BUDGET is automaton.DEFAULT_STEP_BUDGET
+        assert automaton.DEFAULT_STEP_BUDGET is DEFAULT_STEP_BUDGET
+
+    @pytest.mark.parametrize(
+        "inst, steps",
+        [
+            # one length 2, free = 20 - 2: 18 // 2 + 1 layers
+            (ProblemInstance.from_pairs(2, 20, [((0, 1), 1)]), 10),
+            # three of length 3, free = 40 - 9: 31 // 3 + 1 layers
+            (
+                ProblemInstance.from_pairs(5, 40, [((0, 3, 3), 1), ((1, 3, 3), 0), ((2, 3, 3), 2)]),
+                11,
+            ),
+            # lengths 1 and 3, free = 30 - 4: 26 steps of 2 + 1 products
+            (ProblemInstance.from_pairs(4, 30, [((0,), 1), ((1, 2, 2), 1)]), 78),
+        ],
+    )
+    def test_the_bound_is_exact(self, monkeypatch, inst, steps):
+        expected = dp_count(inst)
+        monkeypatch.setattr(closed_form, "DEFAULT_STEP_BUDGET", steps)
+        assert count_multi(inst).total == expected
+
+        def unreached(*args):
+            raise AssertionError("ran past the refusal")
+
+        for name in ("multinomial", "_layer_sum", "_recurrence"):
+            monkeypatch.setattr(closed_form, name, unreached)
+        monkeypatch.setattr(closed_form, "DEFAULT_STEP_BUDGET", steps - 1)
+        refused = f"^closed form refused: .* needs {steps} steps"
+        with pytest.raises(BudgetExceededError, match=refused):
+            count_multi(inst)
+
+
 class TestCollapsedTotal:
     """The total, by the layer sum or the coefficient recurrence, against
     the per-tuple reference sum and the automaton oracle, two values
@@ -274,7 +313,9 @@ class TestCollapsedTotal:
         # three length-3 patterns at t = 300: per layer J, from 0 up to
         # free // 3, C(X + J + g, g) and C(X + J, X), g = free - 3 J; Horner's
         # rule in q ** 3 takes that power first and q ** (free % 3) last.
-        # Past the breakdown's cap, so the recurrence checks the total
+        # The prefactor multinomial((1, 0, 2)) then telescopes as C(1, 1)
+        # C(1, 0) C(3, 2).  Past the breakdown's cap, so the recurrence
+        # checks the total
         pairs = [((0, 3, 3), 1), ((1, 3, 3), 0), ((2, 3, 3), 2)]
         inst, powers, combs = self._layer_work(monkeypatch, 5, 300, pairs)
         total = count_multi(inst).total
@@ -283,14 +324,15 @@ class TestCollapsedTotal:
             pair
             for j in range(free // 3 + 1)
             for pair in ((3 + j + free - 3 * j, free - 3 * j), (3 + j, 3))
-        ]
+        ] + [(1, 1), (1, 0), (3, 2)]
         assert powers == [3, free % 3]
         assert total == multinomial((1, 0, 2)) * closed_form._recurrence(5, free, (3, 3, 3), 3)
 
     def test_one_pattern_work_is_two_powers_and_two_combs_per_copy_count(self, monkeypatch):
         # the longest benchmark CLI row: the sum is Horner's rule in q ** 3,
         # so the whole sum takes two powers of q, and each copy count J, in
-        # increasing order, takes the paper's two binomials
+        # increasing order, takes the paper's two binomials; the prefactor
+        # multinomial((1,)) is C(1, 1)
         inst, powers, combs = self._layer_work(monkeypatch, 36, 3855, [((0, 1, 1), 1)])
         total = count_multi(inst).total
         free = 3855 - 3
@@ -299,7 +341,7 @@ class TestCollapsedTotal:
             pair
             for j in range(free // 3 + 1)
             for pair in ((1 + j + free - 3 * j, free - 3 * j), (1 + j, 1))
-        ]
+        ] + [(1, 1)]
         assert total == multinomial((1,)) * closed_form._recurrence(36, free, (3,), 1)
 
     @given(

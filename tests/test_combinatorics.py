@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from subwordcount.combinatorics import binomial, multichoose, multinomial
+from subwordcount.closed_form import multinomial
+from subwordcount.combinatorics import binomial, multichoose
 
 
 class TestBinomial:

@@ -18,7 +18,6 @@ from subwordcount import (
 from subwordcount import closed_form
 from subwordcount.core import CountBreakdown
 from subwordcount.enumeration import occurrence_profile_counts
-from subwordcount.overlap import can_overlap
 
 # each validated entry point, built from valid defaults, with its integer fields
 SINGLE_ARGS = {"alphabet_size": 2, "word_length": 4, "pattern_length": 2, "required_count": 1}
@@ -394,14 +393,17 @@ class TestValidateInstance:
     @settings(max_examples=100, deadline=None)
     def test_pairs_equal_an_all_pairs_overlap_check(self, q_patterns):
         q, patterns = q_patterns
-        inst = ProblemInstance.from_pairs(q, 4, [(p, 1) for p in patterns])
+        report = validate_instance(ProblemInstance.from_pairs(q, 4, [(p, 1) for p in patterns]))
         every_pair = tuple(
             (i, j)
             for i in range(len(patterns))
             for j in range(i + 1, len(patterns))
-            if can_overlap(patterns[i], patterns[j])
+            if shift_witness_overlap(patterns[i], patterns[j])
         )
-        assert validate_instance(inst).cross_overlap_pairs == every_pair
+        assert report.cross_overlap_pairs == every_pair
+        assert report.per_pattern_self_intersection == tuple(
+            bool(naive_border_lengths(p)) for p in patterns
+        )
 
     @given(
         st.one_of(st.just(2), st.integers(3, 5)).flatmap(

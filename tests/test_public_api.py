@@ -35,7 +35,8 @@ INTERNAL = {
         "build_automaton",
         "tally_graph",
     ],
-    "combinatorics": ["binomial", "multichoose", "multinomial"],
+    "closed_form": ["multinomial"],
+    "combinatorics": ["binomial", "multichoose"],
     "enumeration": ["occurrence_profile_counts"],
     "overlap": ["can_overlap", "is_self_intersecting"],
 }
