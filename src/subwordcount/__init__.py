@@ -8,8 +8,9 @@ automaton-based mass propagation.  The closed form requires patterns
 with no self-intersection and no pairwise overlap; ``validate_instance``
 checks that, and the oracles do not care.  An instance is a
 ``ProblemInstance`` of plain (pattern, count) pairs, each pattern a
-tuple of symbols; beside these the package exports only the two errors
-and the two guard defaults.  ``CountBreakdown`` (``subwordcount.core``)
+tuple of symbols; beside these the package exports only the two errors,
+enumeration's word guard and the one step budget the closed form and
+the automaton oracle share.  ``CountBreakdown`` (``subwordcount.core``)
 and the other internals import from their modules.
 """
 

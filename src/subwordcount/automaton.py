@@ -51,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .core import DEFAULT_STEP_BUDGET, BudgetExceededError, ProblemInstance
+from .core import ProblemInstance, require_budget
 
 
 @dataclass(frozen=True)
@@ -298,7 +298,7 @@ def _join_halves(graph: TallyGraph, front: Sequence[int], back: Sequence[int]) -
     return count
 
 
-def dp_count(instance: ProblemInstance, step_budget: int = DEFAULT_STEP_BUDGET) -> int:
+def dp_count(instance: ProblemInstance) -> int:
     """Exact number of words meeting every required occurrence count,
     computed by mass propagation rather than word enumeration.
 
@@ -321,10 +321,11 @@ def dp_count(instance: ProblemInstance, step_budget: int = DEFAULT_STEP_BUDGET) 
     Otherwise raises BudgetExceededError, before building the moves, when
     the predicted work, word_length * (distinct successors summed over
     states) * prod(x + 1) over the required counts x, exceeds
-    ``step_budget``.  It is an upper bound on the slots the two halves
-    move: t steps between them, at most one move per distinct successor of
-    each state in each, each carrying prod(x + 1) slots, and folding only
-    removes moves.
+    ``DEFAULT_STEP_BUDGET``, through ``core.require_budget``, the check
+    the closed form refuses through too.  The prediction is an upper
+    bound on the slots the two halves move: t steps between them, at most
+    one move per distinct successor of each state in each, each carrying
+    prod(x + 1) slots, and folding only removes moves.
     """
     required = instance.required_counts
     t = instance.word_length
@@ -334,11 +335,7 @@ def dp_count(instance: ProblemInstance, step_budget: int = DEFAULT_STEP_BUDGET) 
     predicted_steps = t * sum(map(len, automaton.successors))
     for x in required:
         predicted_steps *= x + 1  # the tally domain
-    if predicted_steps > step_budget:
-        raise BudgetExceededError(
-            f"automaton refused: the distribution sweep needs about "
-            f"{predicted_steps} steps, over the budget of {step_budget}"
-        )
+    require_budget("automaton refused: the distribution sweep", predicted_steps)
     half = t // 2
     graph = tally_graph(automaton, required, t - half)
     front = [1] + [0] * (len(graph.moves) - 1)  # the empty word, at node 0

@@ -48,7 +48,9 @@ evaluator takes numbers, not an instance:
 
 Each evaluator's work is known before it starts, so ``count_multi``
 refuses with ``BudgetExceededError`` when it would pass
-``DEFAULT_STEP_BUDGET`` steps, the budget the automaton oracle shares.
+``DEFAULT_STEP_BUDGET`` steps.  Both engines refuse through one check,
+``core.require_budget``, so the automaton oracle shares the budget and
+its message.
 
 The layer sum has free / a terms against the recurrence's free steps, so
 it wins on long patterns and loses on short ones.  At q = 4, t = 4000,
@@ -77,20 +79,21 @@ past the word when that is shorter.
 
 from __future__ import annotations
 
+import decimal
 from collections import deque
-from math import comb, floor, log10
+from math import comb
 from typing import Iterator, Sequence
 
 # binomial and multichoose are not called here; the timing harness's tracer
 # wraps closed_form.binomial and closed_form.multichoose (its FOLDED table)
 from .combinatorics import binomial, multichoose  # noqa: F401
 from .core import (
-    DEFAULT_STEP_BUDGET,
     BudgetExceededError,
     CountBreakdown,
     NotApplicableError,
     ProblemInstance,
     decimal_string,
+    require_budget,
     require_int,
     validate_instance,
 )
@@ -151,17 +154,13 @@ def count_multi(instance: ProblemInstance) -> CountBreakdown:
     q = instance.alphabet_size
     lengths = instance.pattern_lengths
     distinct = len(set(lengths))
-    steps = free // lengths[0] + 1 if distinct == 1 else free * (distinct + 1)
-    if steps > DEFAULT_STEP_BUDGET:
-        raise BudgetExceededError(
-            f"closed form refused: the {'layer sum' if distinct == 1 else 'recurrence'} "
-            f"needs {decimal_string(steps)} steps, over the budget of {DEFAULT_STEP_BUDGET}"
-        )
     required = instance.required_counts
     required_total = sum(required)
     if distinct == 1:
+        require_budget("closed form refused: the layer sum", free // lengths[0] + 1)
         coefficient = _layer_sum(q, free, lengths[0], len(lengths), required_total)
     else:
+        require_budget("closed form refused: the recurrence", free * (distinct + 1))
         coefficient = _recurrence(q, free, lengths, required_total)
     return CountBreakdown(multinomial(required) * coefficient, per_tuple_terms, (instance,))
 
@@ -198,7 +197,18 @@ def require_listable(instance: ProblemInstance) -> None:
     times (d + the decimal digits of q ** t), or ``NotApplicableError`` in
     its place when the closed form does not apply."""
     d = len(instance.specs)
-    digits = _decimal_digits(instance.alphabet_size, instance.word_length)
+    t = instance.word_length
+    # log10 q > 1/4, so from t = 4 * cap on the digits of q ** t alone pass
+    # the cap: a feasible instance, which lists a tuple, is refused uncounted
+    if t >= 4 * BREAKDOWN_CELL_CAP:
+        if _copy_count_tuples(instance, 0):
+            require_applicable(instance)
+            raise BudgetExceededError(
+                f"breakdown refused: one copy-count tuple alone lists the more than "
+                f"{BREAKDOWN_CELL_CAP} decimal digits of q ** t at t = {decimal_string(t)}"
+            )
+        return
+    digits = _decimal_digits(instance.alphabet_size, t)
     limit = BREAKDOWN_CELL_CAP // (d + digits)
     if _copy_count_tuples(instance, limit) > limit:
         require_applicable(instance)
@@ -238,8 +248,20 @@ def _copy_count_tuples(instance: ProblemInstance, cap: int) -> int:
 
 
 def _decimal_digits(q: int, t: int) -> int:
-    """Decimal digits of q ** t, from t * log10(q) (float rounding aside)."""
-    return floor(t * log10(q)) + 1
+    """Decimal digits of q ** t, floor(t * log10(q)) + 1, with no float.
+
+    t * log10(q) is taken in ``decimal``, its precision doubled until it
+    is exact, as it is when t is 0 or q a power of 10, or its fractional
+    part is farther from 0 and 1 than its two roundings can move it.
+    Since log10(q) is irrational otherwise, the loop ends.
+    """
+    with decimal.localcontext(decimal.Context(prec=20)) as context:
+        while True:
+            product = t * decimal.Decimal(q).log10()
+            slack = product.scaleb(2 - context.prec)  # ten times both roundings
+            if not (t and context.flags[decimal.Inexact]) or slack < product % 1 < 1 - slack:
+                return int(product) + 1
+            context.prec *= 2
 
 
 def _layer_sum(q: int, free: int, length: int, d: int, required_total: int) -> int:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-# most steps an oracle or the closed form takes before it refuses
+# most steps the closed form or the automaton oracle takes before require_budget refuses
 DEFAULT_STEP_BUDGET = 10**9
 
 
@@ -61,6 +61,16 @@ def decimal_string(n: int) -> str:
     """Decimal digits of ``n`` at any size: ``str(int)`` refuses past the
     interpreter's digit limit, ``Decimal`` converts exactly without it."""
     return str(decimal.Decimal(n))
+
+
+def require_budget(what: str, steps: int) -> None:
+    """Raise ``BudgetExceededError`` when ``what`` needs more than
+    ``DEFAULT_STEP_BUDGET`` steps: the one budget check of both engines,
+    its numbers in full decimal at any size."""
+    if steps > DEFAULT_STEP_BUDGET:
+        raise BudgetExceededError(
+            f"{what} needs {decimal_string(steps)} steps, over the budget of {DEFAULT_STEP_BUDGET}"
+        )
 
 
 def require_int(name: str, value, minimum: int) -> None:

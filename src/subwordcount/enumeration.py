@@ -17,7 +17,7 @@ from __future__ import annotations
 from operator import add
 from typing import Sequence
 
-from .core import BudgetExceededError, ProblemInstance
+from .core import BudgetExceededError, ProblemInstance, decimal_string
 
 DEFAULT_GUARD = 10**8
 
@@ -57,8 +57,9 @@ def occurrence_profile_counts(
     for _ in range(word_length + 1):
         if words > guard:
             raise BudgetExceededError(
-                f"enumeration refused: {alphabet_size}**{word_length} words exceed "
-                f"the guard of {guard}"
+                f"enumeration refused: {decimal_string(alphabet_size)}**"
+                f"{decimal_string(word_length)} words exceed the guard of "
+                f"{decimal_string(guard)}"
             )
         words *= alphabet_size
     # word[start:] is the word's last len(pattern) symbols

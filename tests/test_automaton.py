@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import subwordcount.automaton as automaton_module
+import subwordcount.core as core_module
 from subwordcount import (
     BudgetExceededError,
     ProblemInstance,
@@ -392,13 +393,14 @@ class TestDpCount:
         assert dp_count(ProblemInstance.from_pairs(2, 0, [((0,), 0)])) == 1
         assert dp_count(ProblemInstance.from_pairs(2, 0, [((0,), 1)])) == 0
 
-    def test_more_occurrences_than_room_gives_0_before_the_budget(self):
+    def test_more_occurrences_than_room_gives_0_before_the_budget(self, monkeypatch):
         # 10**8 copies of ab cannot fit in 5 symbols, where the budget
         # would predict about 3 * 10**9 steps
         inst = ProblemInstance.from_pairs(2, 5, [((0, 1), 10**8)])
         assert dp_count(inst) == 0
+        monkeypatch.setattr(core_module, "DEFAULT_STEP_BUDGET", 0)
         with mock.patch.object(automaton_module, "build_automaton", side_effect=AssertionError):
-            assert dp_count(inst, step_budget=0) == 0
+            assert dp_count(inst) == 0
 
     def test_handles_self_intersecting_patterns(self):
         inst = ProblemInstance.from_pairs(2, 4, [((0, 0), 2)])
@@ -408,25 +410,30 @@ class TestDpCount:
         inst = ProblemInstance.from_pairs(2, 5, [((0, 1), 1), ((1, 0), 1)])
         assert dp_count(inst) == enumerate_count(inst)
 
-    def test_budget_refusal(self):
+    def test_budget_refusal(self, monkeypatch):
         inst = ProblemInstance.from_pairs(4, 1000, [((0, 1, 2), 5)])
+        monkeypatch.setattr(core_module, "DEFAULT_STEP_BUDGET", 100)
         with pytest.raises(BudgetExceededError):
-            dp_count(inst, step_budget=100)
+            dp_count(inst)
 
-    def test_budget_counts_every_symbol_the_sweep_tries(self):
+    def test_budget_counts_every_symbol_the_sweep_tries(self, monkeypatch):
         # the four states have 2, 3, 3 and 2 distinct successors, so
         # t * successors * domain = 10 * 10 * 2 = 200 moves at most
         inst = ProblemInstance.from_pairs(4, 10, [((0, 1, 2), 1)])
+        monkeypatch.setattr(core_module, "DEFAULT_STEP_BUDGET", 199)
         with pytest.raises(BudgetExceededError):
-            dp_count(inst, step_budget=199)
-        assert dp_count(inst, step_budget=200) == enumerate_count(inst)
+            dp_count(inst)
+        monkeypatch.setattr(core_module, "DEFAULT_STEP_BUDGET", 200)
+        assert dp_count(inst) == enumerate_count(inst)
 
-    def test_budget_is_exact_at_the_boundary(self):
+    def test_budget_is_exact_at_the_boundary(self, monkeypatch):
         inst = ProblemInstance.from_pairs(5, 7, [((0, 1, 0), 1), ((1, 1), 2)])
         predicted = predicted_moves(inst)
-        assert dp_count(inst, step_budget=predicted) == enumerate_count(inst)
+        monkeypatch.setattr(core_module, "DEFAULT_STEP_BUDGET", predicted)
+        assert dp_count(inst) == enumerate_count(inst)
+        monkeypatch.setattr(core_module, "DEFAULT_STEP_BUDGET", predicted - 1)
         with pytest.raises(BudgetExceededError):
-            dp_count(inst, step_budget=predicted - 1)
+            dp_count(inst)
 
     @pytest.mark.parametrize(
         "inst",

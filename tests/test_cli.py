@@ -7,14 +7,13 @@ import os
 import subprocess
 import sys
 import time
-from functools import partial
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subwordcount import ProblemInstance, cli, closed_form, count_multi, dp_count
+from subwordcount import ProblemInstance, cli, closed_form, core, count_multi
 from subwordcount.cli import (
     EXIT_DISAGREE,
     EXIT_INPUT,
@@ -210,6 +209,19 @@ class TestCount:
             "10000000 cells\n"
         )
 
+    def test_breakdown_past_a_float_word_length_exits_4(self, capsys):
+        # a 401-digit t: t * log10(q) overflows a float, and q ** t has
+        # more digits than the cap, so no digit is counted
+        t = "1" + "0" * 400
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "count", "--q", "2", "--t", t, "--pattern", "ab=0", "--breakdown"
+        )
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (EXIT_REFUSED, "")
+        assert err.startswith("breakdown refused") and len(err.splitlines()) == 1
+        assert t in err and "Traceback" not in err
+
     def test_breakdown_under_the_digit_cap_is_listed(self, capsys):
         # 1,001 tuples times the 1,807 digits of 4 ** 3000
         code, out, _ = run(
@@ -278,6 +290,14 @@ class TestCount:
     def test_decimal_digits_of_powers(self):
         for q in range(2, 37):
             for t in (0, 1, 2, 3, 10, 99, 100, 101, 1000, 4000):
+                digits = len(decimal.Decimal(q**t).as_tuple().digits)
+                assert closed_form._decimal_digits(q, t) == digits
+
+    def test_decimal_digits_beside_a_power_of_10(self):
+        # t * log10(q) falls within 10**-15 of an integer here, below a
+        # float's resolution: 10**18 - 1 to the 1000th has 18,000 digits
+        for q in (10**18 - 1, 10**18, 10**18 + 1):
+            for t in (1, 1000, 3001):
                 digits = len(decimal.Decimal(q**t).as_tuple().digits)
                 assert closed_form._decimal_digits(q, t) == digits
 
@@ -589,8 +609,9 @@ class TestVerify:
         assert payload["agree"] is True
 
     def test_automaton_refusal_exits_4(self, capsys, monkeypatch):
-        # the real sweep, with a budget nothing fits in, and a guard no word fits in
-        monkeypatch.setattr(cli, "dp_count", partial(dp_count, step_budget=0))
+        # the real sweep, with a budget of the closed form's 2 layers, which
+        # the automaton's 48 predicted steps pass, and a guard no word fits in
+        monkeypatch.setattr(core, "DEFAULT_STEP_BUDGET", 2)
         code, out, err = run(
             capsys, "verify", "--q", "2", "--t", "4", "--pattern", "ab=1", "--guard", "0"
         )
@@ -602,7 +623,7 @@ class TestVerify:
         ]
 
     def test_automaton_refusal_alone_skips_the_automaton(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "dp_count", partial(dp_count, step_budget=0))
+        monkeypatch.setattr(core, "DEFAULT_STEP_BUDGET", 2)  # the closed form's 2 layers
         code, out, err = run(capsys, "verify", "--q", "2", "--t", "4", "--pattern", "ab=1")
         assert code == EXIT_OK
         assert json.loads(out)["values"] == {"closed_form": "10", "enumeration": "10"}

@@ -15,6 +15,7 @@ from subwordcount import (
     ProblemInstance,
     automaton,
     closed_form,
+    core,
     count_multi,
     count_single,
     dp_count,
@@ -173,8 +174,9 @@ class TestStepBudget:
     once the evaluator's steps pass ``DEFAULT_STEP_BUDGET``."""
 
     def test_one_constant_bounds_the_closed_form_and_the_automaton(self):
-        assert closed_form.DEFAULT_STEP_BUDGET is automaton.DEFAULT_STEP_BUDGET
-        assert automaton.DEFAULT_STEP_BUDGET is DEFAULT_STEP_BUDGET
+        assert core.DEFAULT_STEP_BUDGET is DEFAULT_STEP_BUDGET
+        assert not hasattr(closed_form, "DEFAULT_STEP_BUDGET")
+        assert not hasattr(automaton, "DEFAULT_STEP_BUDGET")
 
     @pytest.mark.parametrize(
         "inst, steps",
@@ -192,7 +194,7 @@ class TestStepBudget:
     )
     def test_the_bound_is_exact(self, monkeypatch, inst, steps):
         expected = dp_count(inst)
-        monkeypatch.setattr(closed_form, "DEFAULT_STEP_BUDGET", steps)
+        monkeypatch.setattr(core, "DEFAULT_STEP_BUDGET", steps)
         assert count_multi(inst).total == expected
 
         def unreached(*args):
@@ -200,7 +202,7 @@ class TestStepBudget:
 
         for name in ("multinomial", "_layer_sum", "_recurrence"):
             monkeypatch.setattr(closed_form, name, unreached)
-        monkeypatch.setattr(closed_form, "DEFAULT_STEP_BUDGET", steps - 1)
+        monkeypatch.setattr(core, "DEFAULT_STEP_BUDGET", steps - 1)
         refused = f"^closed form refused: .* needs {steps} steps"
         with pytest.raises(BudgetExceededError, match=refused):
             count_multi(inst)

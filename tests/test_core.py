@@ -8,15 +8,18 @@ from hypothesis import strategies as st
 
 from helpers import naive_border_lengths, shift_witness_overlap
 from subwordcount import (
+    BudgetExceededError,
     NotApplicableError,
     ProblemInstance,
     ValidationReport,
     count_multi,
     count_single,
+    dp_count,
+    enumerate_count,
     validate_instance,
 )
 from subwordcount import closed_form
-from subwordcount.core import CountBreakdown
+from subwordcount.core import CountBreakdown, decimal_string
 from subwordcount.enumeration import occurrence_profile_counts
 
 # each validated entry point, built from valid defaults, with its integer fields
@@ -450,3 +453,28 @@ class TestValidateInstance:
         err = NotApplicableError(report)
         assert err.report is report
         assert "self-intersecting" in str(err)
+
+
+# t = 10**5000: every number these refusals print is past str(int)'s
+# 4,300-digit limit
+HUGE = ProblemInstance(2, 10**5000, [((0, 1), 0)])
+
+
+@pytest.mark.parametrize(
+    "refuse, shown",
+    [
+        # 10**5000 // 2 + 1 layers of the layer sum
+        (count_multi, f"needs {decimal_string(10**5000 // 2 + 1)} steps"),
+        # ab's three states have 2 distinct successors each; its tally is 0
+        (dp_count, f"needs {decimal_string(6 * 10**5000)} steps"),
+        (enumerate_count, f"2**{decimal_string(10**5000)} words"),
+        (lambda instance: next(closed_form.per_tuple_terms(instance)), decimal_string(10**5000)),
+    ],
+    ids=["count_multi", "dp_count", "enumerate_count", "per_tuple_terms"],
+)
+def test_every_refusal_past_the_str_digit_limit_is_a_budget_error(refuse, shown):
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as refused:
+        refuse(HUGE)
+    assert time.perf_counter() - start < 1
+    assert shown in str(refused.value)
