@@ -243,7 +243,8 @@ def test_11_oracles_agree_on_adversarial_and_random_instances():
 
 
 def test_12_collapsed_total_matches_per_tuple_sum_and_automaton():
-    # the (J, L) total that count_multi returns, against two values computed
+    # the total that count_multi returns, multinomial(x) times one coefficient
+    # from the layer sum or the recurrence, against two values computed
     # without it: the per-tuple reference sum and the automaton oracle, on
     # the instances of criteria 2 to 6 (the ACGT flagship among them)
     names = tuple("abcdefghijklmnopqrstuvwxyz0123456789")
@@ -272,6 +273,6 @@ def test_12_collapsed_total_matches_per_tuple_sum_and_automaton():
     conclude(
         12,
         True,
-        f"{len(corpus)} instances ({tuples} copy-count tuples), collapsed total equals "
+        f"{len(corpus)} instances ({tuples} copy-count tuples), closed-form total equals "
         f"the per-tuple sum and the automaton, bit-exact",
     )

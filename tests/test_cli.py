@@ -142,13 +142,18 @@ class TestCount:
         assert payload == {"count": "10", "method": "closed_form"}
 
     def test_breakdown_terms(self, capsys):
-        code, out, _ = run(
-            capsys, "count", "--q", "2", "--t", "6", "--pattern", "ab=1", "--breakdown"
-        )
-        assert code == EXIT_OK
-        payload = json.loads(out)
-        assert [term["indices"] for term in payload["terms"]] == [[1], [2], [3]]
-        assert sum(int(term["value"]) for term in payload["terms"]) == int(payload["count"])
+        # every copy-count tuple in lexicographic order, with terms that sum to the count
+        two_patterns = [[1, 1], [1, 2], [1, 3], [1, 4], [1, 5], [2, 1], [2, 2], [2, 3], [3, 1]]
+        for flags, tuples, count in (
+            ("--q 2 --t 6 --pattern ab=1", [[1], [2], [3]], "35"),
+            ("--q 3 --t 7 --pattern ab=1 --pattern c=1", two_patterns, "252"),
+        ):
+            code, out, _ = run(capsys, "count", *flags.split(), "--breakdown")
+            assert code == EXIT_OK
+            payload = json.loads(out)
+            assert [term["indices"] for term in payload["terms"]] == tuples
+            assert payload["count"] == count
+            assert sum(int(term["value"]) for term in payload["terms"]) == int(count)
 
     def test_breakdown_whose_terms_disagree_with_the_total_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(closed_form, "per_tuple_terms", lambda instance: [((1,), 1)])
@@ -353,7 +358,7 @@ class TestCount:
         code, out, err = inline
         assert (code, out) == (EXIT_INPUT, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
-        assert "--alphabet" in err and "--input" in err
+        assert "--alphabet" in err and "--input" in err and "Traceback" not in err
 
     def test_inapplicable_reports_and_exits_2(self, capsys):
         code, out, err = run(capsys, "count", "--q", "2", "--t", "4", "--pattern", "aa=1")
@@ -364,19 +369,27 @@ class TestCount:
         assert report["applicable"] is False
 
     def test_document_input(self, capsys, tmp_path):
+        # a document prints what the inline flags print, multi-character names included
         path = tmp_path / "instance.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "alphabet": {"size": 2},
-                    "length": 4,
-                    "patterns": [{"pattern": "ab", "count": 1}],
-                }
-            )
-        )
-        code, out, _ = run(capsys, "count", "--input", str(path))
-        assert code == EXIT_OK
-        assert json.loads(out)["count"] == "10"
+        sized = {"alphabet": {"size": 2}, "length": 4, "patterns": [{"pattern": "ab", "count": 1}]}
+        amino = {
+            "alphabet": {"symbols": ["Ala", "Gly", "Ser", "Thr"]},
+            "length": 60,
+            "patterns": [{"pattern": [0, 3, 2], "count": 2}, {"pattern": [1, 1, 2, 2], "count": 1}],
+        }
+        for document, flags, count in (
+            (sized, "--q 2 --t 4 --pattern ab=1", "10"),
+            (
+                amino, "--q 4 --t 60 --pattern adc=2 --pattern bbcc=1",
+                "37626775448718452584388181775698912",
+            ),
+        ):
+            path.write_text(json.dumps(document))
+            from_file = run(capsys, "count", "--input", str(path))
+            assert from_file == run(capsys, "count", *flags.split())
+            code, out, _ = from_file
+            assert code == EXIT_OK
+            assert json.loads(out)["count"] == count
 
     def test_repeated_t_takes_the_last(self, capsys):
         code, out, _ = run(
@@ -564,6 +577,37 @@ class TestVerify:
             "automaton": "2",
         }
 
+    @pytest.mark.parametrize(
+        "flags, words",
+        [
+            ("--q 4 --t 8 --pattern abb=2", None),
+            ("--q 4 --t 60 --pattern abc=1 --pattern dbbb=1", "4**60"),
+            ("--q 4 --t 300 --pattern a=2 --pattern bcd=1", "4**300"),
+            ("--q 4 --t 400 --pattern abc=3", "4**400"),
+            ("--q 5 --t 600 --pattern abc=1 --pattern dee=2", "5**600"),
+            ("--q 3 --t 5 --pattern ab=2 --pattern c=2", None),
+            ("--alphabet ACGT --t 200 --pattern ATG=10 --pattern CGT=8", "4**200"),
+        ],
+        ids=[
+            "layer-sum-enumerated", "recurrence-lengths-3-and-4",
+            "recurrence-length-1-meets-the-q-term", "layer-sum-131-layers",
+            "layer-sum-sign-of-two-patterns", "free-below-0", "paper-acgt-past-the-guard",
+        ],
+    )
+    def test_each_evaluator_path_agrees_with_the_oracles(self, capsys, flags, words):
+        # words: the q**t words past the guard, or None where enumeration runs
+        code, out, err = run(capsys, "verify", *flags.split())
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["agree"] is True
+        if words is None:
+            assert list(payload["values"]) == ["closed_form", "enumeration", "automaton"]
+            assert err == ""
+        else:
+            assert list(payload["values"]) == ["closed_form", "automaton"]
+            guard = cli.DEFAULT_GUARD
+            assert err == f"enumeration refused: {words} words exceed the guard of {guard}\n"
+
     def test_guard_0_skips_enumeration(self, capsys):
         code, out, err = run(
             capsys, "verify", "--q", "2", "--t", "6", "--pattern", "ab=2", "--guard", "0"
@@ -609,18 +653,24 @@ class TestVerify:
         assert payload["agree"] is True
 
     def test_automaton_refusal_exits_4(self, capsys, monkeypatch):
+        # at the real budget, 4**400 words pass the guard and 6,593,926,400
+        # predicted steps the budget
+        flags = "--q 4 --t 400 --pattern a=100 --pattern b=100 --pattern c=100"
+        real = run(capsys, "verify", *flags.split())
         # the real sweep, with a budget of the closed form's 2 layers, which
         # the automaton's 48 predicted steps pass, and a guard no word fits in
         monkeypatch.setattr(core, "DEFAULT_STEP_BUDGET", 2)
-        code, out, err = run(
+        patched = run(
             capsys, "verify", "--q", "2", "--t", "4", "--pattern", "ab=1", "--guard", "0"
         )
-        assert code == EXIT_REFUSED
-        assert out == ""
-        assert [line.split(":")[0] for line in err.splitlines()] == [
-            "enumeration refused",
-            "automaton refused",
-        ]
+        for code, out, err in (real, patched):
+            assert code == EXIT_REFUSED
+            assert out == ""
+            assert [line.split(":")[0] for line in err.splitlines()] == [
+                "enumeration refused",
+                "automaton refused",
+            ]
+            assert "Traceback" not in err
 
     def test_automaton_refusal_alone_skips_the_automaton(self, capsys, monkeypatch):
         monkeypatch.setattr(core, "DEFAULT_STEP_BUDGET", 2)  # the closed form's 2 layers
@@ -645,12 +695,14 @@ class TestVerify:
 
 class TestValidate:
     def test_overlapping_pair_rejected(self, capsys):
-        code, out, _ = run(
-            capsys, "validate", "--q", "4", "--t", "9", "--pattern", "abc=1", "--pattern", "bcd=1"
-        )
-        # abc and bcd overlap: suffix bc meets prefix bc
-        assert code == EXIT_NOT_APPLICABLE
-        assert json.loads(out)["overlapping_pairs"] == [[0, 1]]
+        # abc and bcd overlap: suffix bc meets prefix bc; b occurs inside abc
+        for argv in (
+            ("--q", "4", "--t", "9", "--pattern", "abc=1", "--pattern", "bcd=1"),
+            ("--q", "3", "--t", "5", "--pattern", "abc=1", "--pattern", "b=1"),
+        ):
+            code, out, _ = run(capsys, "validate", *argv)
+            assert code == EXIT_NOT_APPLICABLE
+            assert json.loads(out)["overlapping_pairs"] == [[0, 1]]
 
     def test_independent_pair_passes(self, capsys):
         code, out, _ = run(
@@ -663,7 +715,9 @@ class TestValidate:
     def test_self_intersection_reported(self, capsys):
         code, out, _ = run(capsys, "validate", "--q", "2", "--t", "4", "--pattern", "aba=2")
         assert code == EXIT_NOT_APPLICABLE
-        assert json.loads(out)["self_intersecting"] == [True]
+        report = json.loads(out)
+        assert report["self_intersecting"] == [True]
+        assert report["applicable"] is False
 
 
 json_values = st.recursive(
@@ -765,11 +819,12 @@ class TestExitContract:
         assert code in {EXIT_OK, EXIT_INPUT, EXIT_NOT_APPLICABLE, EXIT_DISAGREE, EXIT_REFUSED}
 
 
-def run_fresh(module, *argv, stdout=subprocess.PIPE, unbuffered=False):
+def run_fresh(module, *argv, stdout=subprocess.PIPE, unbuffered=False, closed_stdout=False):
     """``python -m module argv`` in a new interpreter, on this checkout.
 
     Its stdout is block-buffered, as from a shell, even where the calling
     environment sets ``PYTHONUNBUFFERED``; ``unbuffered=True`` sets it.
+    ``closed_stdout=True`` starts it with fd 1 closed, as a shell's ``>&-`` does.
     """
     src = Path(cli.__file__).resolve().parent.parent
     env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
@@ -782,6 +837,7 @@ def run_fresh(module, *argv, stdout=subprocess.PIPE, unbuffered=False):
         text=True,
         env={**env, "PYTHONPATH": str(src)},
         timeout=60,
+        preexec_fn=(lambda: os.close(1)) if closed_stdout else None,
     )
 
 
@@ -911,8 +967,8 @@ def test_help_without_a_stdout_goes_to_stderr_and_exits_0(capsys, monkeypatch):
 
 
 def test_output_without_a_stdout_exits_1_without_a_traceback(capsys, monkeypatch):
-    argv = ["subwordcount", "count", "--q", "2", "--t", "4", "--pattern", "ab=1"]
-    monkeypatch.setattr(sys, "argv", argv)
+    argv = ["count", "--q", "2", "--t", "4", "--pattern", "ab=1"]
+    monkeypatch.setattr(sys, "argv", ["subwordcount", *argv])
     monkeypatch.setattr(sys, "stdout", None)
     with pytest.raises(SystemExit) as stop:
         cli.console_main()
@@ -921,3 +977,7 @@ def test_output_without_a_stdout_exits_1_without_a_traceback(capsys, monkeypatch
     assert err.startswith("error: cannot write stdout")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+    # a new interpreter whose fd 1 is closed starts with sys.stdout None too
+    result = run_fresh("subwordcount", *argv, closed_stdout=True)
+    assert result.returncode == EXIT_INPUT
+    assert result.stderr == "error: cannot write stdout: it is closed\n"
