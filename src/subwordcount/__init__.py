@@ -10,8 +10,11 @@ checks that, and the oracles do not care.  An instance is a
 ``ProblemInstance`` of plain (pattern, count) pairs, each pattern a
 tuple of symbols; beside these the package exports only the two errors,
 enumeration's word guard and the one step budget the closed form and
-the automaton oracle share.  ``CountBreakdown`` (``subwordcount.core``)
-and the other internals import from their modules.
+the automaton oracle share.  Every engine takes only the instance and
+reads its limit when it runs, so a limit is changed by setting
+``enumeration.DEFAULT_GUARD`` or ``core.DEFAULT_STEP_BUDGET``.
+``CountBreakdown`` (``subwordcount.core``) and the other internals
+import from their modules.
 """
 
 from .automaton import dp_count

@@ -45,7 +45,7 @@ from .core import (
     require_int,
     validate_instance,
 )
-from .enumeration import DEFAULT_GUARD, enumerate_count
+from .enumeration import enumerate_count
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -254,10 +254,9 @@ def _cmd_verify(args) -> tuple[dict, int]:
     instance = _instance_from_args(args)
     values = {"closed_form": count_multi(instance).total}
     refusals = []
-    oracles = {"enumeration": (enumerate_count, args.guard), "automaton": (dp_count,)}
-    for name, (oracle, *bound) in oracles.items():
+    for name, oracle in (("enumeration", enumerate_count), ("automaton", dp_count)):
         try:
-            values[name] = oracle(instance, *bound)
+            values[name] = oracle(instance)
         except BudgetExceededError as exc:  # skip this oracle; the other may still run
             refusals.append(str(exc))
     if len(values) == 1:  # main reports both refusals and exits 4
@@ -275,17 +274,6 @@ def _cmd_validate(args) -> tuple[dict, int]:
     report = validate_instance(_instance_from_args(args))
     status = EXIT_OK if report.is_formula_applicable else EXIT_NOT_APPLICABLE
     return report_to_document(report), status
-
-
-def _non_negative_int(text: str) -> int:
-    """argparse type for an integer flag that must be >= 0."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-_non_negative_int.__name__ = "int"  # argparse reports bad text as "invalid int value"
 
 
 @functools.cache
@@ -337,17 +325,10 @@ def _build_parser() -> _Parser:
         ),
     )
 
-    verify_p = sub.add_parser(
+    sub.add_parser(
         "verify",
         parents=[instance_flags, output_flag],
         help="check the closed form against independent oracles",
-    )
-    verify_p.add_argument(
-        "--guard",
-        type=_non_negative_int,
-        default=DEFAULT_GUARD,
-        metavar="N",
-        help="skip enumeration on instances of more than N words (0 always skips it)",
     )
 
     sub.add_parser(

@@ -8,12 +8,13 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subwordcount import ProblemInstance, cli, closed_form, core, count_multi
+from subwordcount import ProblemInstance, cli, closed_form, core, count_multi, enumeration
 from subwordcount.cli import (
     EXIT_DISAGREE,
     EXIT_INPUT,
@@ -605,40 +606,46 @@ class TestVerify:
             assert err == ""
         else:
             assert list(payload["values"]) == ["closed_form", "automaton"]
-            guard = cli.DEFAULT_GUARD
+            guard = enumeration.DEFAULT_GUARD
             assert err == f"enumeration refused: {words} words exceed the guard of {guard}\n"
 
-    def test_guard_0_skips_enumeration(self, capsys):
-        code, out, err = run(
-            capsys, "verify", "--q", "2", "--t", "6", "--pattern", "ab=2", "--guard", "0"
-        )
+    def test_guard_0_skips_enumeration(self, capsys, monkeypatch):
+        monkeypatch.setattr(enumeration, "DEFAULT_GUARD", 0)
+        code, out, err = run(capsys, "verify", "--q", "2", "--t", "6", "--pattern", "ab=2")
         assert code == EXIT_OK
         assert list(json.loads(out)["values"]) == ["closed_form", "automaton"]
         assert err == "enumeration refused: 2**6 words exceed the guard of 0\n"
 
+    def test_guard_flag_exits_1(self, capsys):
+        argv = ("verify", "--q", "2", "--t", "4", "--pattern", "ab=1", "--guard", "0")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "error: unrecognized arguments: --guard 0\n"
+
     @pytest.mark.parametrize(
-        "guard, message", [("-1", "must be >= 0, got -1"), ("x", "invalid int value: 'x'")]
+        "guard, old_message", [("-1", "must be >= 0, got -1"), ("x", "invalid int value: 'x'")]
     )
-    def test_guard_below_0_or_not_an_int_exits_1(self, capsys, guard, message):
+    def test_guard_below_0_or_not_an_int_exits_1(self, capsys, guard, old_message):
+        # the values the removed --guard check refused still exit 1, now as
+        # an unrecognized flag, and its messages are gone
         argv = ("verify", "--q", "2", "--t", "4", "--pattern", "ab=1", "--guard", guard)
         code, out, err = run(capsys, *argv)
         assert (code, out) == (EXIT_INPUT, "")
-        assert err == f"error: argument --guard: {message}\n"
+        assert err == f"error: unrecognized arguments: --guard {guard}\n"
+        assert old_message not in err
 
-    def test_guard_refusal_skips_enumeration_with_one_stderr_line(self, capsys):
-        code, out, err = run(
-            capsys, "verify", "--q", "4", "--t", "50", "--pattern", "abc=1", "--guard", "1000"
-        )
+    def test_guard_refusal_skips_enumeration_with_one_stderr_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(enumeration, "DEFAULT_GUARD", 1000)
+        code, out, err = run(capsys, "verify", "--q", "4", "--t", "50", "--pattern", "abc=1")
         assert code == EXIT_OK
         payload = json.loads(out)
         assert list(payload["values"]) == ["closed_form", "automaton"]
         assert payload["agree"] is True
         assert err == "enumeration refused: 4**50 words exceed the guard of 1000\n"
 
-    def test_guard_refuses_the_one_empty_word(self, capsys):
-        code, out, err = run(
-            capsys, "verify", "--q", "2", "--t", "0", "--pattern", "a=0", "--guard", "0"
-        )
+    def test_guard_refuses_the_one_empty_word(self, capsys, monkeypatch):
+        monkeypatch.setattr(enumeration, "DEFAULT_GUARD", 0)
+        code, out, err = run(capsys, "verify", "--q", "2", "--t", "0", "--pattern", "a=0")
         assert code == EXIT_OK
         assert json.loads(out)["values"] == {"closed_form": "1", "automaton": "1"}
         assert err == "enumeration refused: 2**0 words exceed the guard of 0\n"
@@ -660,9 +667,8 @@ class TestVerify:
         # the real sweep, with a budget of the closed form's 2 layers, which
         # the automaton's 48 predicted steps pass, and a guard no word fits in
         monkeypatch.setattr(core, "DEFAULT_STEP_BUDGET", 2)
-        patched = run(
-            capsys, "verify", "--q", "2", "--t", "4", "--pattern", "ab=1", "--guard", "0"
-        )
+        monkeypatch.setattr(enumeration, "DEFAULT_GUARD", 0)
+        patched = run(capsys, "verify", "--q", "2", "--t", "4", "--pattern", "ab=1")
         for code, out, err in (real, patched):
             assert code == EXIT_REFUSED
             assert out == ""
@@ -812,9 +818,11 @@ class TestExitContract:
         argv = [command, "--t", str(t), *alphabet]
         for pattern in patterns:
             argv += ["--pattern", pattern]
-        if command == "verify":
-            argv += ["--guard", "20000"]  # keep enumeration small; refusal is exit 4
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        with (
+            mock.patch.object(enumeration, "DEFAULT_GUARD", 20000),  # keep enumeration small
+            contextlib.redirect_stdout(io.StringIO()),
+            contextlib.redirect_stderr(io.StringIO()),
+        ):
             code = main(argv)
         assert code in {EXIT_OK, EXIT_INPUT, EXIT_NOT_APPLICABLE, EXIT_DISAGREE, EXIT_REFUSED}
 
@@ -852,12 +860,12 @@ class TestSharedParser:
 
     def test_calls_after_a_failed_parse_match_a_fresh_interpreter(self, capsys):
         cli._build_parser.cache_clear()
-        assert run(capsys, "verify", "--q", "2", "--t", "4", "--guard", "-1")[0] == EXIT_INPUT
+        assert run(capsys, "verify", "--q", "x", "--t", "4", "--pattern", "ab=1")[0] == EXIT_INPUT
         calls = [
             ["count", "--q", "4", "--t", "7", "--pattern", "ab=1", "--pattern", "cd=0"],
             ["count", "--q", "2", "--t", "7", "--pattern", "aba=1"],
             ["count", "--q", "2", "--t", "5", "--pattern", "ab=1", "--breakdown"],
-            ["verify", "--q", "3", "--t", "6", "--pattern", "ab=1", "--guard", "0"],
+            ["verify", "--q", "4", "--t", "50", "--pattern", "abc=1"],  # past the guard
             ["validate", "--q", "2", "--t", "6", "--pattern", "aba=2"],
             ["validate", "--alphabet", "ACGT", "--t", "6", "--pattern", "ATG=1"],
         ]
@@ -865,31 +873,30 @@ class TestSharedParser:
             fresh = run_fresh("subwordcount", *argv)
             assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
-    def test_no_flag_or_default_carries_over_between_calls(self, capsys, monkeypatch):
+    def test_no_flag_or_default_carries_over_between_calls(self, capsys, monkeypatch, tmp_path):
+        output = tmp_path / "first.json"
         first = [
             "verify", "--q", "3", "--t", "4", "--pattern", "ab=1", "--pattern", "cb=1",
-            "--guard", "0",
+            "--output", str(output),
         ]
         second = ["verify", "--q", "3", "--t", "5", "--pattern", "ab=1"]
         code, out, _ = run(capsys, *first)
-        assert code == EXIT_OK
-        assert list(json.loads(out)["values"]) == ["closed_form", "automaton"]
+        assert (code, out) == (EXIT_OK, "")
+        assert list(json.loads(output.read_text())["values"]) == [
+            "closed_form", "enumeration", "automaton",
+        ]
 
         calls = []
         for name in ("count_multi", "enumerate_count", "dp_count"):
-            def spy(instance, *guard, method=getattr(cli, name), name=name):
-                calls.append((name, guard, len(instance.patterns)))
-                return method(instance, *guard)
+            def spy(instance, method=getattr(cli, name), name=name):
+                calls.append((name, len(instance.patterns)))
+                return method(instance)
 
             monkeypatch.setattr(cli, name, spy)
         code, out, _ = run(capsys, *second)
-        assert code == EXIT_OK  # a guard of 0 left from the first call would refuse
+        assert code == EXIT_OK  # an --output left from the first call would empty stdout
         assert list(json.loads(out)["values"]) == ["closed_form", "enumeration", "automaton"]
-        assert calls == [
-            ("count_multi", (), 1),
-            ("enumerate_count", (cli.DEFAULT_GUARD,), 1),
-            ("dp_count", (), 1),
-        ]
+        assert calls == [("count_multi", 1), ("enumerate_count", 1), ("dp_count", 1)]
 
         shared = cli._build_parser()
         shared.parse_args(first)

@@ -19,7 +19,7 @@ from subwordcount import (
     validate_instance,
 )
 from subwordcount import closed_form
-from subwordcount.core import CountBreakdown, decimal_string
+from subwordcount.core import _DECIMAL_SPLIT_BITS, CountBreakdown, decimal_string
 from subwordcount.enumeration import occurrence_profile_counts
 
 # each validated entry point, built from valid defaults, with its integer fields
@@ -478,3 +478,32 @@ def test_every_refusal_past_the_str_digit_limit_is_a_budget_error(refuse, shown)
         refuse(HUGE)
     assert time.perf_counter() - start < 1
     assert shown in str(refused.value)
+
+
+@st.composite
+def ints_around_the_split(draw):
+    """Signed ints whose bit lengths straddle ``_DECIMAL_SPLIT_BITS`` or a
+    multiple of it, where ``decimal_string`` changes how it splits."""
+    bits = draw(st.integers(1, 8)) * _DECIMAL_SPLIT_BITS + draw(st.integers(-40, 40))
+    n = 1 << (bits - 1) | draw(st.integers(0, (1 << (bits - 1)) - 1))
+    return draw(st.sampled_from([n, -n]))
+
+
+class TestDecimalString:
+    @given(ints_around_the_split())
+    @example(0)
+    @example(-(1 << 3 * _DECIMAL_SPLIT_BITS))
+    @example((1 << 3 * _DECIMAL_SPLIT_BITS) - 1)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_digits_decimal_prints(self, n):
+        assert decimal_string(n) == str(decimal.Decimal(n))
+
+    def test_a_2_000_000_bit_int_prints_in_under_1_5_s(self):
+        n = 3**1_261_859
+        assert n.bit_length() == 2_000_000
+        start = time.perf_counter()
+        shown = decimal_string(-n)
+        assert time.perf_counter() - start < 1.5  # str(Decimal(n)) took 6.1 s
+        digits = len(shown) - 1
+        assert shown[0] == "-" and 10 ** (digits - 1) <= n < 10**digits
+        assert int(shown[-30:]) == pow(3, 1_261_859, 10**30)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import count_occurrences
-from subwordcount import BudgetExceededError, ProblemInstance, enumerate_count
+from subwordcount import BudgetExceededError, ProblemInstance, enumeration, enumerate_count
 from subwordcount.enumeration import occurrence_profile_counts
 from subwordcount.overlap import can_overlap, is_self_intersecting
 
@@ -91,22 +91,27 @@ class TestEnumerateCount:
         inst = ProblemInstance.from_pairs(2, 4, [((0, 0), 2)])
         assert enumerate_count(inst) == 2
 
-    def test_guard_refusal(self):
+    def test_guard_refusal(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "DEFAULT_GUARD", 10**6)
         inst = ProblemInstance.from_pairs(2, 30, [((0, 1), 1)])
         with pytest.raises(BudgetExceededError):
-            enumerate_count(inst, guard=10**6)
+            enumerate_count(inst)
 
-    def test_guard_is_exact_at_the_boundary(self):
+    def test_guard_is_exact_at_the_boundary(self, monkeypatch):
         inst = ProblemInstance.from_pairs(2, 10, [((0, 1), 1)])
-        assert enumerate_count(inst, guard=2**10) == 165  # 1^a 0^b 1^c 0^d, b, c >= 1
+        monkeypatch.setattr(enumeration, "DEFAULT_GUARD", 2**10)
+        assert enumerate_count(inst) == 165  # 1^a 0^b 1^c 0^d, b, c >= 1
+        monkeypatch.setattr(enumeration, "DEFAULT_GUARD", 2**10 - 1)
         with pytest.raises(BudgetExceededError):
-            enumerate_count(inst, guard=2**10 - 1)
+            enumerate_count(inst)
 
-    def test_guard_counts_the_one_empty_word(self):
+    def test_guard_counts_the_one_empty_word(self, monkeypatch):
         inst = ProblemInstance.from_pairs(2, 0, [((0,), 0)])
-        assert enumerate_count(inst, guard=1) == 1
+        monkeypatch.setattr(enumeration, "DEFAULT_GUARD", 1)
+        assert enumerate_count(inst) == 1
+        monkeypatch.setattr(enumeration, "DEFAULT_GUARD", 0)
         with pytest.raises(BudgetExceededError):
-            enumerate_count(inst, guard=0)
+            enumerate_count(inst)
 
     def test_guard_refuses_without_computing_the_full_power(self):
         class NoPower(int):
@@ -159,9 +164,10 @@ class TestOccurrenceProfileCounts:
             inst = ProblemInstance.from_pairs(3, 5, [((0, 1), x)])
             assert hist.get((x,), 0) == enumerate_count(inst)
 
-    def test_guard_refusal(self):
+    def test_guard_refusal(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "DEFAULT_GUARD", 10**6)
         with pytest.raises(BudgetExceededError):
-            occurrence_profile_counts(2, 40, [(0,)], guard=10**6)
+            occurrence_profile_counts(2, 40, [(0,)])
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -2,12 +2,14 @@
 
 import ast
 import importlib
+import inspect
 import types
 from pathlib import Path
 
 import pytest
 
 import subwordcount
+from subwordcount import BudgetExceededError, ProblemInstance, enumeration
 
 PACKAGE = Path(subwordcount.__file__).resolve().parent
 
@@ -55,6 +57,14 @@ def test_all_lists_the_counting_names_and_the_version():
     assert sorted(subwordcount.__all__) == sorted(EXPORTED + ["__version__"])
     for name in subwordcount.__all__:
         assert getattr(subwordcount, name) is not None, name
+
+
+def test_every_engine_takes_only_the_instance_and_reads_its_limit_at_call_time(monkeypatch):
+    for engine in (subwordcount.count_multi, subwordcount.dp_count, subwordcount.enumerate_count):
+        assert list(inspect.signature(engine).parameters) == ["instance"], engine.__name__
+    monkeypatch.setattr(enumeration, "DEFAULT_GUARD", 0)
+    with pytest.raises(BudgetExceededError, match="2\\*\\*0 words exceed the guard of 0$"):
+        subwordcount.enumerate_count(ProblemInstance(2, 0, [((0,), 0)]))
 
 
 def test_every_other_public_attribute_is_a_submodule():
