@@ -1,10 +1,11 @@
-"""The two independent oracles, and the guards that keep them honest.
+"""The two independent oracles, and the budget that keeps them honest.
 
 Enumeration is the semantic ground truth: walk every word, count
 occurrences, compare.  The automaton oracle gets identical answers by
 pushing word-count mass through a pattern-matching automaton, which
 scales to word lengths enumeration cannot touch.  Both refuse oversized
-jobs explicitly instead of running forever.
+jobs explicitly instead of running forever, against the one step budget
+the closed form refuses against too.
 """
 
 import time
@@ -35,8 +36,9 @@ for state, (row, emits) in enumerate(zip(auto.goto, auto.emits)):
     print(f"  state {state}: goto {dict(sorted(row.items()))}, emits {list(emits)}")
 print()
 
-# Oversized jobs are refused, not attempted.  Enumeration guards on the
-# number of words; the distribution sweep guards on its step bound.
+# Oversized jobs are refused, not attempted, against one step budget.
+# Enumeration counts q**t words of t + 1 steps each; the distribution
+# sweep counts the slots it would move.
 huge = ProblemInstance.from_pairs(4, 200, [((0, 1, 2), 5)])
 try:
     enumerate_count(huge)

@@ -34,7 +34,8 @@ for t in SWEEP:
     assert closed == dp == brute
     print(f"{t:>6} {closed_s:>13.4f}s {dp_s:>13.4f}s {brute_s:>13.4f}s")
 
-# Enumeration is already out past its guard; the other two keep going.
+# Enumeration's q**t words of t + 1 steps each are already past the step
+# budget (4**100 words at t = 100); the other two keep going.
 print()
 for t in (100, 500, 2000):
     inst = ProblemInstance.from_pairs(4, t, [(PATTERN, 2)])

@@ -8,11 +8,10 @@ automaton-based mass propagation.  The closed form requires patterns
 with no self-intersection and no pairwise overlap; ``validate_instance``
 checks that, and the oracles do not care.  An instance is a
 ``ProblemInstance`` of plain (pattern, count) pairs, each pattern a
-tuple of symbols; beside these the package exports only the two errors,
-enumeration's word guard and the one step budget the closed form and
-the automaton oracle share.  Every engine takes only the instance and
-reads its limit when it runs, so a limit is changed by setting
-``enumeration.DEFAULT_GUARD`` or ``core.DEFAULT_STEP_BUDGET``.
+tuple of symbols; beside these the package exports only the two errors.
+Every engine takes only the instance and refuses past one step budget,
+``core.DEFAULT_STEP_BUDGET``, read when it runs, so setting
+``subwordcount.core.DEFAULT_STEP_BUDGET`` changes the limit of all three.
 ``CountBreakdown`` (``subwordcount.core``) and the other internals
 import from their modules.
 """
@@ -20,21 +19,18 @@ import from their modules.
 from .automaton import dp_count
 from .closed_form import count_multi, count_single
 from .core import (
-    DEFAULT_STEP_BUDGET,
     BudgetExceededError,
     NotApplicableError,
     ProblemInstance,
     ValidationReport,
     validate_instance,
 )
-from .enumeration import DEFAULT_GUARD, enumerate_count
+from .enumeration import enumerate_count
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceededError",
-    "DEFAULT_GUARD",
-    "DEFAULT_STEP_BUDGET",
     "NotApplicableError",
     "ProblemInstance",
     "ValidationReport",

@@ -13,9 +13,9 @@ Exit codes are a contract shared by every subcommand:
   1  malformed input (bad flags, unreadable or unwritable file, bad document)
   2  the closed form does not apply to the instance
   3  two counting methods disagreed (the headline failure mode)
-  4  refused because a work guard was exceeded: the closed form past its
-     step budget, verify's two oracles both refused, enumeration past its
-     guard and the automaton past its budget, or the breakdown's cap on its
+  4  refused because a work bound was exceeded: the closed form past the
+     step budget, verify's two oracles both refused, enumeration and the
+     automaton each past the same budget, or the breakdown's cap on its
      cells, copy-count tuples times the pattern count plus the decimal
      digits of q ** t
 

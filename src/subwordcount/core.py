@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
-# most steps the closed form or the automaton oracle takes before require_budget refuses
+# most steps any engine takes before it refuses: the closed form and the automaton
+# oracle through require_budget, enumeration with its own symbolic message
 DEFAULT_STEP_BUDGET = 10**9
 
 # widest int decimal_string converts whole; wider ones it splits (tuned on CPython 3.11)
@@ -99,8 +100,8 @@ def decimal_string(n: int) -> str:
 
 def require_budget(what: str, steps: int) -> None:
     """Raise ``BudgetExceededError`` when ``what`` needs more than
-    ``DEFAULT_STEP_BUDGET`` steps: the one budget check of both engines,
-    its numbers in full decimal at any size."""
+    ``DEFAULT_STEP_BUDGET`` steps: the budget check of the closed form and
+    the automaton oracle, its numbers in full decimal at any size."""
     if steps > DEFAULT_STEP_BUDGET:
         raise BudgetExceededError(
             f"{what} needs {decimal_string(steps)} steps, over the budget of {DEFAULT_STEP_BUDGET}"

@@ -8,9 +8,13 @@ p at each new position, so every start position of every word is
 checked against the definition, with no automaton and no pruning.  The
 walk keeps its own stack of prefixes, so no word is too long for it.
 
-The guard, ``DEFAULT_GUARD``, is a word-count budget, not a time
-budget, so refusal is deterministic and machine independent.  The walk
-reads it when it runs, as ``core.require_budget`` reads the step budget.
+The walk refuses against the one step budget the other engines share,
+``core.DEFAULT_STEP_BUDGET``, read when it runs.  A word costs t + 1
+steps, its t symbols and its tally, so the walk's work is q**t * (t + 1)
+steps; the budget counts steps, not time, so refusal is deterministic
+and machine independent.  The refusal names that work symbolically, as
+q**t words, since the exact step count of a long word is itself too
+large to compute.
 """
 
 from __future__ import annotations
@@ -18,10 +22,8 @@ from __future__ import annotations
 from operator import add
 from typing import Sequence
 
+from . import core
 from .core import BudgetExceededError, ProblemInstance, decimal_string
-
-# most words the walk enumerates before it refuses
-DEFAULT_GUARD = 10**8
 
 
 def enumerate_count(instance: ProblemInstance) -> int:
@@ -29,9 +31,9 @@ def enumerate_count(instance: ProblemInstance) -> int:
     the occurrence-profile histogram of every word of the instance's length.
 
     Accepts any pattern set, including self-intersecting and overlapping
-    ones; this is the semantic ground truth.  Refuses instances with more
-    than ``DEFAULT_GUARD`` words, which signals the caller to use the
-    automaton oracle instead.
+    ones; this is the semantic ground truth.  Refuses instances whose
+    q**t words of t + 1 steps each pass ``core.DEFAULT_STEP_BUDGET``,
+    which signals the caller to use the automaton oracle instead.
     """
     q, t = instance.alphabet_size, instance.word_length
     histogram = occurrence_profile_counts(q, t, instance.patterns)
@@ -49,22 +51,23 @@ def occurrence_profile_counts(
     Each entry equals ``enumerate_count`` for the corresponding instance.
     Sizes and patterns are checked as ``ProblemInstance`` checks them, so
     an empty pattern list, an empty pattern, a symbol outside the alphabet
-    or a repeated pattern raises ValueError.  More than ``DEFAULT_GUARD``
-    words raise ``BudgetExceededError``.
+    or a repeated pattern raises ValueError.  Past
+    ``core.DEFAULT_STEP_BUDGET`` steps, t + 1 per word, it raises
+    ``BudgetExceededError``.
     """
     instance = ProblemInstance(alphabet_size, word_length, [(p, 0) for p in patterns])
-    # Multiply one symbol at a time and stop once past the guard: the full
+    # Multiply one symbol at a time and stop once past the budget: the full
     # power q**t of a huge word length would take seconds just to compute.
-    # The guard is checked before the first symbol too: t = 0 has one word.
-    words = 1
+    # The budget is checked before the first symbol too: t = 0 has one word.
+    budget, steps = core.DEFAULT_STEP_BUDGET, word_length + 1
     for _ in range(word_length + 1):
-        if words > DEFAULT_GUARD:
+        if steps > budget:
             raise BudgetExceededError(
                 f"enumeration refused: {decimal_string(alphabet_size)}**"
-                f"{decimal_string(word_length)} words exceed the guard of "
-                f"{decimal_string(DEFAULT_GUARD)}"
+                f"{decimal_string(word_length)} words of {decimal_string(word_length + 1)} "
+                f"steps each pass the budget of {decimal_string(budget)}"
             )
-        words *= alphabet_size
+        steps *= alphabet_size
     # word[start:] is the word's last len(pattern) symbols
     windows = [(pattern, -len(pattern)) for pattern in instance.patterns]
     histogram: dict[tuple[int, ...], int] = {}

@@ -420,17 +420,19 @@ class TestDpCount:
         # the four states have 2, 3, 3 and 2 distinct successors, so
         # t * successors * domain = 10 * 10 * 2 = 200 moves at most
         inst = ProblemInstance.from_pairs(4, 10, [((0, 1, 2), 1)])
+        expected = enumerate_count(inst)  # before the budget, which enumeration shares
         monkeypatch.setattr(core_module, "DEFAULT_STEP_BUDGET", 199)
         with pytest.raises(BudgetExceededError):
             dp_count(inst)
         monkeypatch.setattr(core_module, "DEFAULT_STEP_BUDGET", 200)
-        assert dp_count(inst) == enumerate_count(inst)
+        assert dp_count(inst) == expected
 
     def test_budget_is_exact_at_the_boundary(self, monkeypatch):
         inst = ProblemInstance.from_pairs(5, 7, [((0, 1, 0), 1), ((1, 1), 2)])
         predicted = predicted_moves(inst)
+        expected = enumerate_count(inst)  # before the budget, which enumeration shares
         monkeypatch.setattr(core_module, "DEFAULT_STEP_BUDGET", predicted)
-        assert dp_count(inst) == enumerate_count(inst)
+        assert dp_count(inst) == expected
         monkeypatch.setattr(core_module, "DEFAULT_STEP_BUDGET", predicted - 1)
         with pytest.raises(BudgetExceededError):
             dp_count(inst)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subwordcount import ProblemInstance, cli, closed_form, core, count_multi, enumeration
+from subwordcount import ProblemInstance, cli, closed_form, core, count_multi
 from subwordcount.cli import (
     EXIT_DISAGREE,
     EXIT_INPUT,
@@ -596,7 +596,8 @@ class TestVerify:
         ],
     )
     def test_each_evaluator_path_agrees_with_the_oracles(self, capsys, flags, words):
-        # words: the q**t words past the guard, or None where enumeration runs
+        # words: the q**t words whose t + 1 steps each pass the budget, or
+        # None where enumeration runs
         code, out, err = run(capsys, "verify", *flags.split())
         assert code == EXIT_OK
         payload = json.loads(out)
@@ -606,15 +607,20 @@ class TestVerify:
             assert err == ""
         else:
             assert list(payload["values"]) == ["closed_form", "automaton"]
-            guard = enumeration.DEFAULT_GUARD
-            assert err == f"enumeration refused: {words} words exceed the guard of {guard}\n"
+            steps, budget = int(words.split("**")[1]) + 1, core.DEFAULT_STEP_BUDGET
+            assert err == (
+                f"enumeration refused: {words} words of {steps} steps each pass the budget of "
+                f"{budget}\n"
+            )
 
-    def test_guard_0_skips_enumeration(self, capsys, monkeypatch):
-        monkeypatch.setattr(enumeration, "DEFAULT_GUARD", 0)
+    def test_enumeration_refusal_alone_skips_enumeration(self, capsys, monkeypatch):
+        # the closed form's 2 layers and the automaton's 108 predicted steps
+        # fit in the budget, enumeration's 2**6 words of 7 steps do not
+        monkeypatch.setattr(core, "DEFAULT_STEP_BUDGET", 200)
         code, out, err = run(capsys, "verify", "--q", "2", "--t", "6", "--pattern", "ab=2")
         assert code == EXIT_OK
-        assert list(json.loads(out)["values"]) == ["closed_form", "automaton"]
-        assert err == "enumeration refused: 2**6 words exceed the guard of 0\n"
+        assert json.loads(out)["values"] == {"closed_form": "21", "automaton": "21"}
+        assert err == "enumeration refused: 2**6 words of 7 steps each pass the budget of 200\n"
 
     def test_guard_flag_exits_1(self, capsys):
         argv = ("verify", "--q", "2", "--t", "4", "--pattern", "ab=1", "--guard", "0")
@@ -634,21 +640,15 @@ class TestVerify:
         assert err == f"error: unrecognized arguments: --guard {guard}\n"
         assert old_message not in err
 
-    def test_guard_refusal_skips_enumeration_with_one_stderr_line(self, capsys, monkeypatch):
-        monkeypatch.setattr(enumeration, "DEFAULT_GUARD", 1000)
+    def test_guard_refusal_skips_enumeration_with_one_stderr_line(self, capsys):
         code, out, err = run(capsys, "verify", "--q", "4", "--t", "50", "--pattern", "abc=1")
         assert code == EXIT_OK
         payload = json.loads(out)
         assert list(payload["values"]) == ["closed_form", "automaton"]
         assert payload["agree"] is True
-        assert err == "enumeration refused: 4**50 words exceed the guard of 1000\n"
-
-    def test_guard_refuses_the_one_empty_word(self, capsys, monkeypatch):
-        monkeypatch.setattr(enumeration, "DEFAULT_GUARD", 0)
-        code, out, err = run(capsys, "verify", "--q", "2", "--t", "0", "--pattern", "a=0")
-        assert code == EXIT_OK
-        assert json.loads(out)["values"] == {"closed_form": "1", "automaton": "1"}
-        assert err == "enumeration refused: 2**0 words exceed the guard of 0\n"
+        assert err == (
+            "enumeration refused: 4**50 words of 51 steps each pass the budget of 1000000000\n"
+        )
 
     def test_more_occurrences_than_room_count_0_in_every_method(self, capsys):
         # the automaton gives 0 before checking its budget, which this
@@ -665,9 +665,9 @@ class TestVerify:
         flags = "--q 4 --t 400 --pattern a=100 --pattern b=100 --pattern c=100"
         real = run(capsys, "verify", *flags.split())
         # the real sweep, with a budget of the closed form's 2 layers, which
-        # the automaton's 48 predicted steps pass, and a guard no word fits in
+        # the automaton's 48 predicted steps and enumeration's 2**4 words of
+        # 5 steps pass
         monkeypatch.setattr(core, "DEFAULT_STEP_BUDGET", 2)
-        monkeypatch.setattr(enumeration, "DEFAULT_GUARD", 0)
         patched = run(capsys, "verify", "--q", "2", "--t", "4", "--pattern", "ab=1")
         for code, out, err in (real, patched):
             assert code == EXIT_REFUSED
@@ -679,10 +679,13 @@ class TestVerify:
             assert "Traceback" not in err
 
     def test_automaton_refusal_alone_skips_the_automaton(self, capsys, monkeypatch):
-        monkeypatch.setattr(core, "DEFAULT_STEP_BUDGET", 2)  # the closed form's 2 layers
-        code, out, err = run(capsys, "verify", "--q", "2", "--t", "4", "--pattern", "ab=1")
+        # the closed form's 1 layer and enumeration's 2**4 words of 5 steps
+        # fit in the budget, the automaton's 216 predicted steps do not
+        monkeypatch.setattr(core, "DEFAULT_STEP_BUDGET", 100)
+        flags = "--q 2 --t 4 --pattern a=2 --pattern b=2"
+        code, out, err = run(capsys, "verify", *flags.split())
         assert code == EXIT_OK
-        assert json.loads(out)["values"] == {"closed_form": "10", "enumeration": "10"}
+        assert json.loads(out)["values"] == {"closed_form": "6", "enumeration": "6"}
         assert err.startswith("automaton refused") and len(err.splitlines()) == 1
 
     def test_inapplicable_exits_2(self, capsys):
@@ -819,7 +822,8 @@ class TestExitContract:
         for pattern in patterns:
             argv += ["--pattern", pattern]
         with (
-            mock.patch.object(enumeration, "DEFAULT_GUARD", 20000),  # keep enumeration small
+            # keep enumeration small: 20,000 words of t = 12's 13 steps each
+            mock.patch.object(core, "DEFAULT_STEP_BUDGET", 20000 * 13),
             contextlib.redirect_stdout(io.StringIO()),
             contextlib.redirect_stderr(io.StringIO()),
         ):
@@ -865,7 +869,7 @@ class TestSharedParser:
             ["count", "--q", "4", "--t", "7", "--pattern", "ab=1", "--pattern", "cd=0"],
             ["count", "--q", "2", "--t", "7", "--pattern", "aba=1"],
             ["count", "--q", "2", "--t", "5", "--pattern", "ab=1", "--breakdown"],
-            ["verify", "--q", "4", "--t", "50", "--pattern", "abc=1"],  # past the guard
+            ["verify", "--q", "4", "--t", "50", "--pattern", "abc=1"],  # past the budget
             ["validate", "--q", "2", "--t", "6", "--pattern", "aba=2"],
             ["validate", "--alphabet", "ACGT", "--t", "6", "--pattern", "ATG=1"],
         ]

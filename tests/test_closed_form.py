@@ -1,5 +1,7 @@
+import importlib
 import itertools
 import math
+import pkgutil
 import random
 import tracemalloc
 
@@ -8,12 +10,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import all_patterns, borderless_patterns, independent_pattern_pairs
+import subwordcount
 from subwordcount import (
-    DEFAULT_STEP_BUDGET,
     BudgetExceededError,
     NotApplicableError,
     ProblemInstance,
-    automaton,
     closed_form,
     core,
     count_multi,
@@ -174,9 +175,19 @@ class TestStepBudget:
     once the evaluator's steps pass ``DEFAULT_STEP_BUDGET``."""
 
     def test_one_constant_bounds_the_closed_form_and_the_automaton(self):
-        assert core.DEFAULT_STEP_BUDGET is DEFAULT_STEP_BUDGET
-        assert not hasattr(closed_form, "DEFAULT_STEP_BUDGET")
-        assert not hasattr(automaton, "DEFAULT_STEP_BUDGET")
+        # and enumeration: the budget is bound in core alone, so no module,
+        # the package included, holds a copy that setting would leave inert
+        modules = [subwordcount] + [
+            importlib.import_module(f"subwordcount.{info.name}")
+            for info in pkgutil.iter_modules(subwordcount.__path__)
+            if info.name != "__main__"
+        ]
+        assert {module.__name__ for module in modules} >= {
+            "subwordcount.automaton", "subwordcount.closed_form", "subwordcount.enumeration",
+        }
+        bound = [module.__name__ for module in modules if "DEFAULT_STEP_BUDGET" in vars(module)]
+        assert bound == ["subwordcount.core"]
+        assert not any("DEFAULT_GUARD" in vars(module) for module in modules)
 
     @pytest.mark.parametrize(
         "inst, steps",

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import count_occurrences
-from subwordcount import BudgetExceededError, ProblemInstance, enumeration, enumerate_count
+from subwordcount import BudgetExceededError, ProblemInstance, core, enumerate_count
 from subwordcount.enumeration import occurrence_profile_counts
 from subwordcount.overlap import can_overlap, is_self_intersecting
 
@@ -92,24 +92,26 @@ class TestEnumerateCount:
         assert enumerate_count(inst) == 2
 
     def test_guard_refusal(self, monkeypatch):
-        monkeypatch.setattr(enumeration, "DEFAULT_GUARD", 10**6)
+        monkeypatch.setattr(core, "DEFAULT_STEP_BUDGET", 10**6)
         inst = ProblemInstance.from_pairs(2, 30, [((0, 1), 1)])
-        with pytest.raises(BudgetExceededError):
+        refused = "enumeration refused: 2**30 words of 31 steps each pass the budget of 1000000"
+        with pytest.raises(BudgetExceededError, match=f"^{re.escape(refused)}$"):
             enumerate_count(inst)
 
     def test_guard_is_exact_at_the_boundary(self, monkeypatch):
+        # 2**10 words of 11 steps each: 11,264 steps
         inst = ProblemInstance.from_pairs(2, 10, [((0, 1), 1)])
-        monkeypatch.setattr(enumeration, "DEFAULT_GUARD", 2**10)
+        monkeypatch.setattr(core, "DEFAULT_STEP_BUDGET", 2**10 * 11)
         assert enumerate_count(inst) == 165  # 1^a 0^b 1^c 0^d, b, c >= 1
-        monkeypatch.setattr(enumeration, "DEFAULT_GUARD", 2**10 - 1)
+        monkeypatch.setattr(core, "DEFAULT_STEP_BUDGET", 2**10 * 11 - 1)
         with pytest.raises(BudgetExceededError):
             enumerate_count(inst)
 
     def test_guard_counts_the_one_empty_word(self, monkeypatch):
         inst = ProblemInstance.from_pairs(2, 0, [((0,), 0)])
-        monkeypatch.setattr(enumeration, "DEFAULT_GUARD", 1)
+        monkeypatch.setattr(core, "DEFAULT_STEP_BUDGET", 1)
         assert enumerate_count(inst) == 1
-        monkeypatch.setattr(enumeration, "DEFAULT_GUARD", 0)
+        monkeypatch.setattr(core, "DEFAULT_STEP_BUDGET", 0)
         with pytest.raises(BudgetExceededError):
             enumerate_count(inst)
 
@@ -165,7 +167,7 @@ class TestOccurrenceProfileCounts:
             assert hist.get((x,), 0) == enumerate_count(inst)
 
     def test_guard_refusal(self, monkeypatch):
-        monkeypatch.setattr(enumeration, "DEFAULT_GUARD", 10**6)
+        monkeypatch.setattr(core, "DEFAULT_STEP_BUDGET", 10**6)
         with pytest.raises(BudgetExceededError):
             occurrence_profile_counts(2, 40, [(0,)])
 

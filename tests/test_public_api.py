@@ -3,20 +3,20 @@
 import ast
 import importlib
 import inspect
+import re
 import types
 from pathlib import Path
 
 import pytest
 
 import subwordcount
-from subwordcount import BudgetExceededError, ProblemInstance, enumeration
+from subwordcount import BudgetExceededError, ProblemInstance, core
 
 PACKAGE = Path(subwordcount.__file__).resolve().parent
+README = PACKAGE.parent.parent / "README.md"
 
 EXPORTED = [
     "BudgetExceededError",
-    "DEFAULT_GUARD",
-    "DEFAULT_STEP_BUDGET",
     "NotApplicableError",
     "ProblemInstance",
     "ValidationReport",
@@ -62,9 +62,20 @@ def test_all_lists_the_counting_names_and_the_version():
 def test_every_engine_takes_only_the_instance_and_reads_its_limit_at_call_time(monkeypatch):
     for engine in (subwordcount.count_multi, subwordcount.dp_count, subwordcount.enumerate_count):
         assert list(inspect.signature(engine).parameters) == ["instance"], engine.__name__
-    monkeypatch.setattr(enumeration, "DEFAULT_GUARD", 0)
-    with pytest.raises(BudgetExceededError, match="2\\*\\*0 words exceed the guard of 0$"):
+    # the one empty word costs 1 step; setting the one budget in core is enough
+    monkeypatch.setattr(core, "DEFAULT_STEP_BUDGET", 0)
+    refused = "2**0 words of 1 steps each pass the budget of 0"
+    with pytest.raises(BudgetExceededError, match=f"{re.escape(refused)}$"):
         subwordcount.enumerate_count(ProblemInstance(2, 0, [((0,), 0)]))
+
+
+def test_the_readme_counts_and_names_every_export():
+    # the count, then the list up to the first blank line
+    listing = r"The package exports (\d+) names:\n\n((?:[-\w ].*\n)+)"
+    count, listed = re.search(listing, README.read_text(encoding="utf-8")).groups()
+    exports = [name for name in subwordcount.__all__ if name != "__version__"]
+    assert int(count) == len(subwordcount.__all__) - 1
+    assert sorted(set(re.findall(r"`(\w+)`", listed)) & set(exports)) == sorted(exports)
 
 
 def test_every_other_public_attribute_is_a_submodule():
