@@ -292,31 +292,32 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    instance_flags = _Parser(add_help=False)
-    instance_flags.add_argument("--input", metavar="FILE", help="JSON instance document")
-    instance_flags.add_argument("--q", type=int, metavar="N", help="alphabet size")
-    instance_flags.add_argument("--t", type=int, metavar="N", help="word length")
-    instance_flags.add_argument(
+    shared = _Parser(add_help=False)
+    shared.add_argument("--input", metavar="FILE", help="JSON instance document")
+    shared.add_argument("--q", type=int, metavar="N", help="alphabet size")
+    shared.add_argument("--t", type=int, metavar="N", help="word length")
+    shared.add_argument(
         "--pattern",
         action="append",
         metavar="STR=COUNT",
         help="pattern and its required occurrence count; repeatable",
     )
-    instance_flags.add_argument(
+    shared.add_argument(
         "--alphabet",
         metavar="SYMBOLS",
         help="alphabet as a string of distinct symbol characters",
     )
+    shared.add_argument("--output", metavar="FILE", help="write output here, not stdout")
 
-    output_flag = _Parser(add_help=False)
-    output_flag.add_argument("--output", metavar="FILE", help="write output here, not stdout")
-
-    count_p = sub.add_parser(
-        "count",
-        parents=[instance_flags, output_flag],
-        help="evaluate the closed-form count",
-    )
-    count_p.add_argument(
+    # each handler returns its JSON document, or None when it reported only
+    # on stderr, and its exit status; main writes the document
+    for name, handler, help_text in (
+        ("count", _cmd_count, "evaluate the closed-form count"),
+        ("verify", _cmd_verify, "check the closed form against independent oracles"),
+        ("validate", _cmd_validate, "report whether the closed form applies to the instance"),
+    ):
+        sub.add_parser(name, parents=[shared], help=help_text).set_defaults(handler=handler)
+    sub.choices["count"].add_argument(
         "--breakdown",
         action="store_true",
         help=(
@@ -324,28 +325,7 @@ def _build_parser() -> _Parser:
             "copy-count tuples times the pattern count plus the digits of q ** t)"
         ),
     )
-
-    sub.add_parser(
-        "verify",
-        parents=[instance_flags, output_flag],
-        help="check the closed form against independent oracles",
-    )
-
-    sub.add_parser(
-        "validate",
-        parents=[instance_flags, output_flag],
-        help="report whether the closed form applies to the instance",
-    )
     return parser
-
-
-# each command returns its JSON document, or None when it reported only on
-# stderr, and its exit status; main writes the document
-_COMMANDS = {
-    "count": _cmd_count,
-    "verify": _cmd_verify,
-    "validate": _cmd_validate,
-}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -355,7 +335,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:  # --help; bad flags raise DocumentError instead
             return exc.code
-        payload, status = _COMMANDS[args.command](args)
+        payload, status = args.handler(args)
         if payload is not None:
             _emit(json.dumps(payload, indent=2), args.output)
         return status

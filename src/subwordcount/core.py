@@ -104,7 +104,8 @@ def require_budget(what: str, steps: int) -> None:
     the automaton oracle, its numbers in full decimal at any size."""
     if steps > DEFAULT_STEP_BUDGET:
         raise BudgetExceededError(
-            f"{what} needs {decimal_string(steps)} steps, over the budget of {DEFAULT_STEP_BUDGET}"
+            f"{what} needs {decimal_string(steps)} step{'s' if steps != 1 else ''}, over the "
+            f"budget of {DEFAULT_STEP_BUDGET}"
         )
 
 

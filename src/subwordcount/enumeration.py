@@ -56,18 +56,16 @@ def occurrence_profile_counts(
     ``BudgetExceededError``.
     """
     instance = ProblemInstance(alphabet_size, word_length, [(p, 0) for p in patterns])
-    # Multiply one symbol at a time and stop once past the budget: the full
-    # power q**t of a huge word length would take seconds just to compute.
-    # The budget is checked before the first symbol too: t = 0 has one word.
-    budget, steps = core.DEFAULT_STEP_BUDGET, word_length + 1
-    for _ in range(word_length + 1):
-        if steps > budget:
-            raise BudgetExceededError(
-                f"enumeration refused: {decimal_string(alphabet_size)}**"
-                f"{decimal_string(word_length)} words of {decimal_string(word_length + 1)} "
-                f"steps each pass the budget of {decimal_string(budget)}"
-            )
-        steps *= alphabet_size
+    # q**t >= 2**t passes the budget once t reaches the budget's bit length,
+    # so the full power of a huge word length, seconds just to compute, is
+    # taken only below it
+    budget, t = core.DEFAULT_STEP_BUDGET, word_length
+    if t >= budget.bit_length() or (t + 1) * alphabet_size**t > budget:
+        raise BudgetExceededError(
+            f"enumeration refused: {decimal_string(alphabet_size)}**{decimal_string(t)} words "
+            f"of {decimal_string(t + 1)} step{'s' if t else ''} each pass the budget of "
+            f"{decimal_string(budget)}"
+        )
     # word[start:] is the word's last len(pattern) symbols
     windows = [(pattern, -len(pattern)) for pattern in instance.patterns]
     histogram: dict[tuple[int, ...], int] = {}

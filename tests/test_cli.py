@@ -97,6 +97,8 @@ class TestParseDocument:
             {"alphabet": {"size": 3}, "length": 5, "patterns": [{"pattern": [3], "count": 1}]},
             {"alphabet": {"size": 3}, "length": 5, "patterns": [{"pattern": "", "count": 1}]},
             {"alphabet": {"symbols": ["a", "a"]}, "length": 5, "patterns": [{"pattern": "a", "count": 1}]},
+            {"alphabet": {"symbols": "ACGT"}, "length": 5, "patterns": [{"pattern": "A", "count": 1}]},
+            {"alphabet": {"size": 3}, "length": 5, "patterns": [{"pattern": 5, "count": 1}]},
         ],
     )
     def test_malformed_documents_rejected(self, document):
@@ -214,6 +216,16 @@ class TestCount:
             "indices and the 10000001 decimal digits of q ** t), past the cap of "
             "10000000 cells\n"
         )
+
+    def test_infeasible_breakdown_past_the_digit_cap_lists_no_term(self, capsys):
+        # from t = 4 * 10**7 the digits of q ** t alone pass the cap, but 30
+        # million copies of ab do not fit 40 million symbols: nothing to list
+        code, out, _ = run(
+            capsys, "count", "--q", "2", "--t", "40000000", "--pattern", "ab=30000000",
+            "--breakdown",
+        )
+        assert code == EXIT_OK
+        assert json.loads(out) == {"count": "0", "method": "closed_form", "terms": []}
 
     def test_breakdown_past_a_float_word_length_exits_4(self, capsys):
         # a 401-digit t: t * log10(q) overflows a float, and q ** t has
@@ -914,6 +926,14 @@ class TestSharedParser:
             code, out, _ = run(capsys, *argv)
             assert code == EXIT_OK
             assert out.startswith(usage)
+        code, out, _ = run(capsys, "--help")
+        listed = " ".join(out.split())  # help lines wrap at the terminal width
+        for line in (
+            "count evaluate the closed-form count",
+            "verify check the closed form against independent oracles",
+            "validate report whether the closed form applies to the instance",
+        ):
+            assert line in listed
         code, out, _ = run(capsys, "count", "--q", "2", "--t", "4", "--pattern", "ab=1")
         assert code == EXIT_OK
         assert json.loads(out)["count"] == "10"

@@ -201,6 +201,8 @@ class TestStepBudget:
             ),
             # lengths 1 and 3, free = 30 - 4: 26 steps of 2 + 1 products
             (ProblemInstance.from_pairs(4, 30, [((0,), 1), ((1, 2, 2), 1)]), 78),
+            # both length 1, free = 4 - 4: 1 layer, refused at a budget of 0
+            (ProblemInstance.from_pairs(2, 4, [((0,), 2), ((1,), 2)]), 1),
         ],
     )
     def test_the_bound_is_exact(self, monkeypatch, inst, steps):
@@ -214,7 +216,8 @@ class TestStepBudget:
         for name in ("multinomial", "_layer_sum", "_recurrence"):
             monkeypatch.setattr(closed_form, name, unreached)
         monkeypatch.setattr(core, "DEFAULT_STEP_BUDGET", steps - 1)
-        refused = f"^closed form refused: .* needs {steps} steps"
+        noun = "step" if steps == 1 else "steps"
+        refused = f"^closed form refused: .* needs {steps} {noun}, over"
         with pytest.raises(BudgetExceededError, match=refused):
             count_multi(inst)
 

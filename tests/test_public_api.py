@@ -64,7 +64,7 @@ def test_every_engine_takes_only_the_instance_and_reads_its_limit_at_call_time(m
         assert list(inspect.signature(engine).parameters) == ["instance"], engine.__name__
     # the one empty word costs 1 step; setting the one budget in core is enough
     monkeypatch.setattr(core, "DEFAULT_STEP_BUDGET", 0)
-    refused = "2**0 words of 1 steps each pass the budget of 0"
+    refused = "2**0 words of 1 step each pass the budget of 0"
     with pytest.raises(BudgetExceededError, match=f"{re.escape(refused)}$"):
         subwordcount.enumerate_count(ProblemInstance(2, 0, [((0,), 0)]))
 
@@ -102,11 +102,18 @@ def test_the_package_defines_only_what_it_runs():
     defined, loaded = set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        defined.update(
-            node.name
-            for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        )
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            # module-level tables and constants count too, dunders aside
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(
+                    name.id
+                    for target in targets
+                    for name in ast.walk(target)
+                    if isinstance(name, ast.Name) and not name.id.startswith("__")
+                )
         for node in ast.walk(tree):
             # an import alone does not count: it is a name read, here or as
             # module.name, that runs a definition
